@@ -29,6 +29,7 @@
 #include "core/mithrilog.h"
 #include "fault/fault_plan.h"
 #include "query/parser.h"
+#include "testutil/scratch_path.h"
 
 namespace mithril::core {
 namespace {
@@ -70,11 +71,7 @@ class CheckpointTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "mithrilog_ckpt_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".img";
+        path_ = testutil::scratchPath("mithrilog_ckpt");
     }
 
     void

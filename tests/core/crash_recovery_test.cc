@@ -33,6 +33,7 @@
 #include "core/mithrilog.h"
 #include "fault/fault_plan.h"
 #include "query/parser.h"
+#include "testutil/scratch_path.h"
 
 namespace mithril::core {
 namespace {
@@ -75,12 +76,8 @@ class CrashRecoveryTest : public ::testing::Test
     void
     SetUp() override
     {
-        std::string stem = ::testing::TempDir() + "mithrilog_crash_" +
-                           ::testing::UnitTest::GetInstance()
-                               ->current_test_info()
-                               ->name();
-        path_ = stem + ".img";
-        path2_ = stem + "_g2.img";
+        path_ = testutil::scratchPath("mithrilog_crash");
+        path2_ = testutil::scratchPath("mithrilog_crash", "_g2.img");
     }
 
     void

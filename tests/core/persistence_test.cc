@@ -14,6 +14,7 @@
 #include "core/mithrilog.h"
 #include "loggen/log_generator.h"
 #include "query/parser.h"
+#include "testutil/scratch_path.h"
 
 namespace mithril::core {
 namespace {
@@ -34,11 +35,7 @@ class PersistenceTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "mithrilog_image_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".bin";
+        path_ = testutil::scratchPath("mithrilog_image", ".bin");
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

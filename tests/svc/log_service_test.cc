@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "query/parser.h"
+#include "testutil/scratch_path.h"
 
 namespace mithril::svc {
 namespace {
@@ -34,7 +35,7 @@ mustParse(std::string_view text)
 std::string
 tempPath(const std::string &name)
 {
-    return std::string(::testing::TempDir()) + name;
+    return testutil::scratchPath(name, "");
 }
 
 std::string

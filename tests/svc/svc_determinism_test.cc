@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "testutil/scratch_path.h"
+
 namespace mithril::svc {
 namespace {
 
@@ -50,8 +52,7 @@ corpus()
 std::string
 donorImage()
 {
-    std::string img =
-        std::string(::testing::TempDir()) + "svc_det_reopen_donor.img";
+    std::string img = testutil::scratchPath("svc_det_reopen_donor");
     core::MithriLog donor;
     EXPECT_TRUE(donor
                     .ingestText("RAS KERNEL INFO recovered golden head "

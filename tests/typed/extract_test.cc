@@ -102,6 +102,22 @@ TEST(ExtractTest, SyslogHeaderSpansTokens)
     EXPECT_EQ(keys[0], timestampKey(epoch));
 }
 
+TEST(ExtractTest, SyslogHeaderAfterSandiaPrefix)
+{
+    // A loggen Spirit2 line: alert, epoch, date and node come first,
+    // so the zero-padded header sits at tokens 4-6.
+    uint64_t epoch = 0;
+    ASSERT_TRUE(parseSyslogTime("Dec", "08", "22:48:26", &epoch));
+    auto keys = keysOf("- 1117838906 2005.12.08 sn0438 Dec 08 22:48:26 "
+                       "sn0438 pbs_mom: parity prefetch node 748.48 "
+                       "errors");
+    ASSERT_EQ(keys.size(), 1u);
+    EXPECT_EQ(keys[0], timestampKey(epoch));
+
+    // Past token 4 a month-day-time run is message text, not a header.
+    EXPECT_TRUE(keysOf("a b c d e Dec 08 22:48:26 x").empty());
+}
+
 TEST(ExtractTest, OneKeyPerToken)
 {
     // First ladder hit wins: the raw token parses as an RFC 3339

@@ -14,9 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "common/text.h"
 #include "core/mithrilog.h"
 #include "fault/fault_plan.h"
 #include "loggen/incident.h"
+#include "testutil/scratch_path.h"
 #include "typed/predicate.h"
 
 namespace mithril::core {
@@ -70,10 +72,7 @@ class TypedE2eTest : public ::testing::Test
         loggen::IncidentSpec spec;
         spec.background_bytes = 256 << 10;  // keep the suite quick
         text_ = loggen::generateIncident(spec, &truth_);
-        path_ = ::testing::TempDir() + "typed_e2e_" +
-                std::to_string(::testing::UnitTest::GetInstance()
-                                   ->random_seed()) +
-                ".img";
+        path_ = testutil::scratchPath("typed_e2e");
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
@@ -123,6 +122,36 @@ TEST_F(TypedE2eTest, CleanMountMatchesOracle)
     // The scenario's ground truth is itself oracle-consistent.
     typed::Predicate exact = mustParse(kPredicates[0]);
     EXPECT_EQ(oracleLines(text_, exact), truth_.attacker_lines);
+}
+
+TEST_F(TypedE2eTest, TimeWindowOnSpiritBackground)
+{
+    // The scenario's Spirit2 background carries its zero-padded
+    // `Mon DD HH:MM:SS` header at tokens 4-6 (the planted lines carry
+    // none); a window opened at the first background stamp must find
+    // lines, and exactly the oracle's.
+    uint64_t t0 = 0;
+    bool stamped = false;
+    for (std::string_view line : splitLines(text_)) {
+        std::vector<std::string_view> tok = splitTokens(line);
+        if (tok.size() >= 7 &&
+            typed::parseSyslogTime(tok[4], tok[5], tok[6], &t0)) {
+            stamped = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(stamped) << "no background line carries a header";
+    std::string word = "time:[" + std::to_string(t0) + "," +
+                       std::to_string(t0 + 600) + "]";
+
+    MithriLog system(typedConfig());
+    ASSERT_TRUE(system.ingestText(text_).isOk());
+    ASSERT_TRUE(system.flush().isOk());
+    std::vector<uint64_t> expected = oracleLines(text_, mustParse(word));
+    ASSERT_FALSE(expected.empty());
+    QueryResult r;
+    ASSERT_TRUE(system.run(word, &r).isOk());
+    EXPECT_EQ(r.line_numbers, expected);
 }
 
 TEST_F(TypedE2eTest, FaultPlanMountMatchesOracle)
