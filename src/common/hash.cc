@@ -42,23 +42,34 @@ hash64(const void *data, size_t len, uint64_t seed)
 
 namespace {
 
-/** 256-entry table for byte-at-a-time reflected CRC-32. */
-struct Crc32Table {
-    uint32_t entry[256];
+/**
+ * Slicing-by-8 tables for the reflected CRC-32: entry[0] is the
+ * classic byte-at-a-time table, and entry[k][b] is the CRC of byte b
+ * followed by k zero bytes, so eight table reads fold eight input
+ * bytes at once.
+ */
+struct Crc32Tables {
+    uint32_t entry[8][256];
 
-    constexpr Crc32Table() : entry()
+    constexpr Crc32Tables() : entry()
     {
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int bit = 0; bit < 8; ++bit) {
                 c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
             }
-            entry[i] = c;
+            entry[0][i] = c;
+        }
+        for (uint32_t i = 0; i < 256; ++i) {
+            for (int k = 1; k < 8; ++k) {
+                uint32_t prev = entry[k - 1][i];
+                entry[k][i] = (prev >> 8) ^ entry[0][prev & 0xffu];
+            }
         }
     }
 };
 
-constexpr Crc32Table kCrc32Table;
+constexpr Crc32Tables kCrc32;
 
 } // namespace
 
@@ -66,9 +77,25 @@ uint32_t
 crc32(const void *data, size_t len, uint32_t seed)
 {
     const uint8_t *p = static_cast<const uint8_t *>(data);
+    const auto &t = kCrc32.entry;
     uint32_t c = ~seed;
-    for (size_t i = 0; i < len; ++i) {
-        c = kCrc32Table.entry[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    while (len >= 8) {
+        // Little-endian loads: the low byte of `lo` is the next input
+        // byte, the one the running CRC's low byte combines with.
+        uint32_t lo;
+        uint32_t hi;
+        std::memcpy(&lo, p, 4);
+        std::memcpy(&hi, p + 4, 4);
+        lo ^= c;
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+        p += 8;
+        len -= 8;
+    }
+    while (len-- > 0) {
+        c = t[0][(c ^ *p++) & 0xffu] ^ (c >> 8);
     }
     return ~c;
 }

@@ -87,6 +87,62 @@ TEST(Crc32Test, SeedContinuesAcrossRanges)
     EXPECT_EQ(split, crc32(msg, 9));
 }
 
+/** The textbook bit-at-a-time CRC-32, the reference for the sliced
+ *  implementation. */
+uint32_t
+crc32Bitwise(const uint8_t *p, size_t len, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= p[i];
+        for (int bit = 0; bit < 8; ++bit) {
+            c = (c >> 1) ^ ((c & 1u) ? 0xedb88320u : 0u);
+        }
+    }
+    return ~c;
+}
+
+TEST(Crc32Test, SlicedMatchesBitwiseReference)
+{
+    // Every length through two 128-byte blocks plus one, from every
+    // start offset within an 8-byte word, so each split between the
+    // eight-byte loop and the byte tail is covered.
+    std::vector<uint8_t> buf(257 + 8);
+    uint64_t x = 0x243f6a8885a308d3ull;
+    for (uint8_t &b : buf) {
+        x = mix64(x);
+        b = static_cast<uint8_t>(x);
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 257; ++len) {
+            const uint8_t *p = buf.data() + offset;
+            ASSERT_EQ(crc32(p, len), crc32Bitwise(p, len, 0))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32Test, SlicedChainsSeedsLikeReference)
+{
+    std::vector<uint8_t> buf(300);
+    for (size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<uint8_t>(i * 131 + 7);
+    }
+    // Chained ranges of uneven lengths equal one pass, and each link
+    // equals the reference continued from the same seed.
+    uint32_t chained = 0;
+    size_t pos = 0;
+    for (size_t step : {1u, 7u, 8u, 9u, 63u, 64u, 148u}) {
+        uint32_t ref = crc32Bitwise(buf.data() + pos, step, chained);
+        chained = crc32(buf.data() + pos, step, chained);
+        ASSERT_EQ(chained, ref) << "at " << pos;
+        pos += step;
+    }
+    EXPECT_EQ(chained, crc32(buf.data(), pos));
+    EXPECT_EQ(crc32(buf.data(), 17, 0xdeadbeefu),
+              crc32Bitwise(buf.data(), 17, 0xdeadbeefu));
+}
+
 TEST(Crc32Test, DetectsSingleBitFlips)
 {
     std::vector<uint8_t> buf(4096, 0x5a);
