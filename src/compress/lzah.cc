@@ -34,24 +34,6 @@ pagePayloadCrc(ByteView page)
                  page.size() - kPageHeaderBytes);
 }
 
-/** Exact encoded byte size of @p is_match chunk-packed into one page. */
-size_t
-encodedSize(const std::vector<bool> &is_match)
-{
-    size_t total = kPageHeaderBytes;
-    size_t i = 0;
-    while (i < is_match.size()) {
-        size_t n = std::min(kLzahChunkItems, is_match.size() - i);
-        size_t payload = 0;
-        for (size_t k = 0; k < n; ++k) {
-            payload += is_match[i + k] ? 2 : kLzahWord;
-        }
-        total += kLzahWord + alignUp(payload, kLzahWord);
-        i += n;
-    }
-    return total;
-}
-
 } // namespace
 
 uint32_t
@@ -76,11 +58,18 @@ lzahHash(const Word &w)
 
 LzahPageEncoder::LzahPageEncoder() : table_(kLzahTableEntries) {}
 
+size_t
+LzahPageEncoder::openPageBytes() const
+{
+    size_t open_chunk = items_.size() % kLzahChunkItems == 0
+                            ? 0
+                            : kLzahWord + alignUp(open_chunk_payload_,
+                                                  kLzahWord);
+    return kPageHeaderBytes + full_chunk_bytes_ + open_chunk;
+}
+
 void
-LzahPageEncoder::encodeLineWords(std::string_view line,
-                                 std::vector<PendingItem> *items,
-                                 size_t *literal_words,
-                                 std::vector<std::pair<uint32_t, Word>> *undo)
+LzahPageEncoder::encodeLineWords(std::string_view line, bool record_undo)
 {
     // The line arrives without its terminator; LZAH encodes it as full
     // 16-byte words with the final word holding the '\n' followed by
@@ -103,16 +92,22 @@ LzahPageEncoder::encodeLineWords(std::string_view line,
         if (table_[idx] == w) {
             item.is_match = true;
             item.index = static_cast<uint16_t>(idx);
+            open_chunk_payload_ += 2;
         } else {
             item.is_match = false;
             item.literal = w;
-            if (undo != nullptr) {
-                undo->emplace_back(idx, table_[idx]);
+            if (record_undo) {
+                undo_.emplace_back(idx, table_[idx]);
             }
             table_[idx] = w;
-            ++*literal_words;
+            open_chunk_payload_ += kLzahWord;
         }
-        items->push_back(item);
+        items_.push_back(item);
+        if (items_.size() % kLzahChunkItems == 0) {
+            full_chunk_bytes_ +=
+                kLzahWord + alignUp(open_chunk_payload_, kLzahWord);
+            open_chunk_payload_ = 0;
+        }
         decompressed_bytes_ += kLzahWord;
         pos += take;
         if (last) {
@@ -138,32 +133,30 @@ LzahPageEncoder::addLine(std::string_view line)
     // Optimistically encode against the live table, keeping a rollback
     // log in case the line overflows the open page (pages decompress
     // independently, so a sealed page's table state must not leak).
-    std::vector<std::pair<uint32_t, Word>> undo;
-    size_t undo_base = items_.size();
-    size_t literal_before = literal_words_;
+    undo_.clear();
+    size_t items_before = items_.size();
     uint32_t bytes_before = decompressed_bytes_;
+    size_t full_before = full_chunk_bytes_;
+    size_t open_before = open_chunk_payload_;
 
-    encodeLineWords(line, &items_, &literal_words_, &undo);
+    encodeLineWords(line, /*record_undo=*/true);
 
-    std::vector<bool> flags(items_.size());
-    for (size_t i = 0; i < items_.size(); ++i) {
-        flags[i] = items_[i].is_match;
-    }
-    if (encodedSize(flags) <= kPageBytes) {
+    if (openPageBytes() <= kPageBytes) {
         raw_bytes_ += line.size() + 1;
         return AddLineResult::kAppended;
     }
 
     // Overflow: roll back, seal, re-encode against the fresh page.
-    items_.resize(undo_base);
-    literal_words_ = literal_before;
+    items_.resize(items_before);
     decompressed_bytes_ = bytes_before;
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+    full_chunk_bytes_ = full_before;
+    open_chunk_payload_ = open_before;
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
         table_[it->first] = it->second;
     }
     sealPage();
     // A fresh page always fits a <= kMaxLineBytes line (see header).
-    encodeLineWords(line, &items_, &literal_words_, nullptr);
+    encodeLineWords(line, /*record_undo=*/false);
     raw_bytes_ += line.size() + 1;
     return AddLineResult::kSealedAndAppended;
 }
@@ -224,8 +217,9 @@ LzahPageEncoder::sealPage()
 
     pages_.push_back(std::move(page));
     items_.clear();
-    literal_words_ = 0;
     decompressed_bytes_ = 0;
+    full_chunk_bytes_ = 0;
+    open_chunk_payload_ = 0;
     // Page independence: the decoder starts from an empty table.
     table_.assign(kLzahTableEntries, Word{});
 }

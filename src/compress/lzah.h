@@ -115,6 +115,15 @@ class LzahPageEncoder
     /** Total uncompressed bytes consumed (including '\n' terminators). */
     uint64_t rawBytes() const { return raw_bytes_; }
 
+    /**
+     * Exact encoded size of the open page as it would seal now: the
+     * page header word, every full chunk, and the open chunk's header
+     * word plus its word-aligned payload. Kept current as items are
+     * added, so fitting a line costs its own words, not a pass over
+     * the page.
+     */
+    size_t openPageBytes() const;
+
   private:
     struct PendingItem {
         bool is_match;
@@ -125,19 +134,18 @@ class LzahPageEncoder
     void sealPage();
 
     /**
-     * Encodes one line into pending items, mutating the hash table.
-     * When @p undo is non-null, overwritten (index, old word) pairs are
-     * recorded so the caller can roll the table back.
+     * Encodes one line into pending items, mutating the hash table and
+     * the running size. With @p record_undo, overwritten (index, old
+     * word) pairs go to undo_ so the caller can roll the table back.
      */
-    void encodeLineWords(std::string_view line,
-                         std::vector<PendingItem> *items,
-                         size_t *literal_words,
-                         std::vector<std::pair<uint32_t, Word>> *undo);
+    void encodeLineWords(std::string_view line, bool record_undo);
 
     std::vector<Word> table_;
     std::vector<PendingItem> items_;      // items of the open page
-    size_t literal_words_ = 0;            // literal count in items_
     uint32_t decompressed_bytes_ = 0;     // padded word bytes in open page
+    size_t full_chunk_bytes_ = 0;         // encoded bytes of full chunks
+    size_t open_chunk_payload_ = 0;       // payload bytes of open chunk
+    std::vector<std::pair<uint32_t, Word>> undo_;  // reused per line
     uint64_t raw_bytes_ = 0;
     std::vector<Bytes> pages_;
 };

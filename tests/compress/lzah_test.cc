@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <string>
+
 #include "common/rng.h"
 #include "storage/page.h"
 
@@ -129,6 +134,140 @@ TEST(LzahPageEncoderTest, PagesDecodeIndependently)
     // Its first byte starts a fresh line (the previous page ended one).
     std::string text(out.begin(), out.end());
     EXPECT_EQ(text.substr(0, 5), "alpha");
+}
+
+// ---- running encoded size ---------------------------------------------
+
+/** Reference size of a sealed page, computed from its own chunk
+ *  headers: page header word, then per chunk a header word and the
+ *  word-aligned payload (2 B per match, 16 B per literal). */
+size_t
+sealedPageBytes(const Bytes &page)
+{
+    uint32_t items = 0;
+    std::memcpy(&items, page.data(), 4);
+    size_t off = kLzahWord;
+    for (uint32_t done = 0; done < items;) {
+        uint32_t n = std::min<uint32_t>(kLzahChunkItems, items - done);
+        size_t payload = 0;
+        for (uint32_t k = 0; k < n; ++k) {
+            bool match = (page[off + k / 8] >> (k % 8)) & 1;
+            payload += match ? 2 : kLzahWord;
+        }
+        off += kLzahWord + (payload + kLzahWord - 1) / kLzahWord * kLzahWord;
+        done += n;
+    }
+    return off;
+}
+
+/** The whole-page reference for the open page of @p enc: seal a copy
+ *  and measure the page it produces. */
+size_t
+referenceOpenBytes(const LzahPageEncoder &enc)
+{
+    LzahPageEncoder copy = enc;
+    size_t sealed = copy.pages().size();
+    copy.flush();
+    if (copy.pages().size() == sealed) {
+        return kLzahWord;  // empty page: header word only
+    }
+    return sealedPageBytes(copy.pages().back());
+}
+
+/** A distinct 15-byte line: one literal word with its terminator. */
+std::string
+oneWordLine(int i)
+{
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "line%010d", i);
+    return buf;
+}
+
+TEST(LzahRunningSizeTest, MatchesReferenceAtChunkBoundary)
+{
+    LzahPageEncoder enc;
+    EXPECT_EQ(enc.openPageBytes(), referenceOpenBytes(enc));
+    for (int i = 0; i < 129; ++i) {
+        ASSERT_EQ(enc.addLine(oneWordLine(i)), AddLineResult::kAppended);
+        ASSERT_EQ(enc.openPageBytes(), referenceOpenBytes(enc)) << i;
+    }
+    // 128 literals close the first chunk; the 129th opens the second.
+    EXPECT_EQ(enc.openPageBytes(), 16u + (16 + 128 * 16) + (16 + 16));
+}
+
+TEST(LzahRunningSizeTest, ExactPageFillThenOverflowRollsBack)
+{
+    // 16 (page header) + 16 + 128*16 (full chunk) + 16 + 125*16 = 4096:
+    // 253 one-word literal lines fill the page to the byte.
+    LzahPageEncoder enc;
+    std::string expected;
+    for (int i = 0; i < 253; ++i) {
+        ASSERT_EQ(enc.addLine(oneWordLine(i)), AddLineResult::kAppended)
+            << i;
+        expected += oneWordLine(i) + "\n";
+    }
+    EXPECT_EQ(enc.openPageBytes(), storage::kPageSize);
+    EXPECT_EQ(referenceOpenBytes(enc), storage::kPageSize);
+
+    // One more word overflows: the line is rolled back, the full page
+    // seals unchanged, and the line opens the next page alone.
+    ASSERT_EQ(enc.addLine(oneWordLine(253)),
+              AddLineResult::kSealedAndAppended);
+    ASSERT_EQ(enc.pages().size(), 1u);
+    EXPECT_EQ(sealedPageBytes(enc.pages()[0]), storage::kPageSize);
+    EXPECT_EQ(enc.openPageBytes(), 16u + 16 + 16);
+    EXPECT_EQ(enc.openPageBytes(), referenceOpenBytes(enc));
+    EXPECT_EQ(decodeAll(enc.pages(), false), expected);
+}
+
+TEST(LzahRunningSizeTest, MultiWordOverflowAcrossChunkBoundary)
+{
+    // 127 one-word lines, then lines of five words: the first crosses
+    // the chunk boundary, and one of them eventually overflows
+    // mid-line, so the rollback has to restore both running counters.
+    LzahPageEncoder enc;
+    std::string text;
+    for (int i = 0; i < 127; ++i) {
+        ASSERT_EQ(enc.addLine(oneWordLine(i)), AddLineResult::kAppended);
+        text += oneWordLine(i) + "\n";
+    }
+    bool overflowed = false;
+    for (int i = 0; !overflowed; ++i) {
+        std::string line = oneWordLine(1000 + i) + "_" +
+                           oneWordLine(2000 + i) + "_" +
+                           oneWordLine(3000 + i) + "_" +
+                           oneWordLine(4000 + i) + "_" +
+                           oneWordLine(5000 + i);
+        overflowed =
+            enc.addLine(line) == AddLineResult::kSealedAndAppended;
+        text += line + "\n";
+        ASSERT_LE(enc.openPageBytes(), storage::kPageSize);
+        ASSERT_EQ(enc.openPageBytes(), referenceOpenBytes(enc)) << i;
+    }
+    ASSERT_EQ(enc.pages().size(), 1u);
+    EXPECT_LE(sealedPageBytes(enc.pages()[0]), storage::kPageSize);
+    enc.flush();
+    EXPECT_EQ(decodeAll(enc.pages(), false), text);
+}
+
+TEST(LzahRunningSizeTest, MatchesReferenceOnMixedLogLines)
+{
+    // Matches (2 B) and literals (16 B) interleave on real-looking
+    // text; the running size tracks the reference after every line,
+    // across several seals.
+    Rng rng(11);
+    LzahPageEncoder enc;
+    for (int i = 0; i < 1500; ++i) {
+        std::string line = "RAS KERNEL INFO node-" +
+                           std::to_string(rng.below(40)) +
+                           " cache parity error corrected";
+        if (rng.below(3) == 0) {
+            line += " seq" + std::to_string(i);
+        }
+        enc.addLine(line);
+        ASSERT_EQ(enc.openPageBytes(), referenceOpenBytes(enc)) << i;
+    }
+    EXPECT_GE(enc.pages().size(), 2u);
 }
 
 TEST(LzahPaddedModeTest, WordsAreLineAligned)
