@@ -5,6 +5,7 @@
 
 #include "common/bits.h"
 #include "common/hash.h"
+#include "common/text.h"
 #include "typed/extract.h"
 
 namespace mithril::typed {
@@ -59,14 +60,26 @@ TypedIndex::TypedIndex(storage::SsdModel *ssd) : ssd_(ssd) {}
 void
 TypedIndex::addLine(std::string_view line, uint64_t line_no)
 {
-    extractLine(line, [&](const TypedKey &key) {
+    std::vector<std::string_view> tokens = splitTokens(line);
+    addTokens(tokens, line_no);
+}
+
+void
+TypedIndex::addTokens(std::span<const std::string_view> tokens,
+                      uint64_t line_no)
+{
+    uint64_t postings = 0;
+    extractTokens(tokens, &scratch_key_, [&](const TypedKey &key) {
         KeyEntry &entry = keys_[key];
         if (!entry.pending.empty() && entry.pending.back() == line_no) {
             return; // one posting per (key, line)
         }
         entry.pending.push_back(line_no);
-        stats_.add("postings");
+        ++postings;
     });
+    if (postings > 0) {
+        stats_.add("postings", postings);
+    }
 }
 
 void

@@ -66,6 +66,11 @@ class TypedIndex
      *  @p line_no) into the pending posting lists. */
     void addLine(std::string_view line, uint64_t line_no);
 
+    /** addLine() for a line the caller has already split into
+     *  @p tokens (the ingest path's single tokenizer pass). */
+    void addTokens(std::span<const std::string_view> tokens,
+                   uint64_t line_no);
+
     /** Registers a sealed data page covering lines
      *  [@p first_line, @p first_line + @p line_count) — the directory
      *  that maps posting hits back to data pages. */
@@ -141,6 +146,7 @@ class TypedIndex
 
     storage::SsdModel *ssd_;
     std::map<TypedKey, KeyEntry> keys_;
+    TypedKey scratch_key_;  ///< extraction buffer reused across lines
     std::vector<PageSpan> page_dir_;
     StatSet stats_;
 };
