@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 
 #include "common/bits.h"
 #include "common/hash.h"
@@ -103,22 +104,30 @@ MithriLog::ingestLine(std::string_view line)
         // failure means this line was never acknowledged.
         MITHRIL_RETURN_IF_ERROR(sealPendingPage());
     }
-    forEachToken(line, [&](std::string_view tok, uint32_t) {
-        if (!pending_tokens_.count(tok)) {
-            pending_tokens_.emplace(tok);
-        }
-        return true;
-    });
-    if (config_.use_typed_index) {
-        // Typed extraction rides the same tokenizer pass; `lines_` has
-        // not been bumped yet, so it is this line's 0-based number.
-        typed_index_->addLine(line, lines_);
-    }
+    // `lines_` has not been bumped yet: it is this line's 0-based
+    // number.
+    indexLine(line, lines_);
     ++lines_;
     raw_bytes_ += line.size() + 1;
     counters_.lines_ingested->add();
     counters_.lzah_bytes_in->add(line.size() + 1);
     return Status::ok();
+}
+
+void
+MithriLog::indexLine(std::string_view line, uint64_t line_no)
+{
+    // One tokenizer pass feeds both consumers: the open page's token
+    // set and, with it on, typed extraction.
+    line_tokens_.clear();
+    forEachToken(line, [&](std::string_view tok, uint32_t) {
+        page_tokens_.insert(tok);
+        line_tokens_.push_back(tok);
+        return true;
+    });
+    if (config_.use_typed_index) {
+        typed_index_->addTokens(line_tokens_, line_no);
+    }
 }
 
 Status
@@ -176,18 +185,13 @@ MithriLog::sealPendingPage()
     committed_raw_ = raw_bytes_;
     data_pages_.push_back(id);
 
-    std::vector<std::string_view> tokens;
-    tokens.reserve(pending_tokens_.size());
-    for (const std::string &tok : pending_tokens_) {
-        tokens.push_back(tok);
-    }
-    index_->addPage(id, tokens, lines_);
+    index_->addPage(id, page_tokens_.sorted(), lines_);
     // Sealed-page directory entry (typed posting hits map back to data
     // pages through it): this page covers [first_line, lines_).
     // Unconditional — line numbering must work with the typed index off
     // (the degraded-scan baseline still reports line numbers).
     typed_index_->notePage(id, first_line, lines_ - first_line);
-    pending_tokens_.clear();
+    page_tokens_.clear();
     counters_.pages_sealed->add();
     counters_.lzah_bytes_out->add(storage::kPageSize);
     if (config_.checkpoint_every_pages > 0 &&
@@ -1425,30 +1429,17 @@ MithriLog::recover(const std::string &path)
                                          "core");
     uint64_t rebuilt_lines = 0;
     for (const Survivor &s : survivors) {
-        std::set<std::string, std::less<>> tokens;
+        // The typed index is unjournaled like the keyword index: both
+        // are re-extracted from the verified survivors, one tokenizer
+        // pass per line as at ingest.
         uint64_t line_no = rebuilt_lines;
         forEachLine(asChars(s.text), [&](std::string_view line) {
-            forEachToken(line, [&](std::string_view tok, uint32_t) {
-                if (!tokens.count(tok)) {
-                    tokens.emplace(tok);
-                }
-                return true;
-            });
-            // The typed index is unjournaled like the keyword index:
-            // re-extract from the verified survivors, same pass.
-            if (config_.use_typed_index) {
-                typed_index_->addLine(line, line_no);
-            }
-            ++line_no;
+            indexLine(line, line_no++);
         });
-        std::vector<std::string_view> token_views;
-        token_views.reserve(tokens.size());
-        for (const std::string &tok : tokens) {
-            token_views.push_back(tok);
-        }
         // Timestamps are ingest line sequence numbers; the cumulative
         // count at commit time reproduces the original stamps.
-        index_->addPage(s.cp.page, token_views, s.cp.lines);
+        index_->addPage(s.cp.page, page_tokens_.sorted(), s.cp.lines);
+        page_tokens_.clear();
         typed_index_->notePage(s.cp.page, rebuilt_lines,
                                s.cp.lines - rebuilt_lines);
         rebuilt_lines = s.cp.lines;

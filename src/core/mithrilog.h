@@ -31,7 +31,6 @@
 #define MITHRIL_CORE_MITHRILOG_H
 
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "accel/accelerator.h"
 #include "common/simtime.h"
 #include "compress/lzah.h"
+#include "core/page_token_set.h"
 #include "index/inverted_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -515,6 +515,11 @@ class MithriLog
      *  matches the media). */
     Status sealPendingPage();
 
+    /** One tokenizer pass over @p line: its tokens join the open
+     *  page's set and, with use_typed_index, the typed index as line
+     *  @p line_no. Shared by ingest and recover()'s index rebuild. */
+    void indexLine(std::string_view line, uint64_t line_no);
+
     /** checkpoint() minus the flush: journal truncation + segment
      *  cleaning. The auto-policy calls this from inside the commit path
      *  (where flush() would recurse); any failure marks dead_. */
@@ -589,7 +594,10 @@ class MithriLog
     accel::Accelerator accel_;
 
     compress::LzahPageEncoder encoder_;
-    std::set<std::string, std::less<>> pending_tokens_;
+    /** Distinct tokens of the open page; cleared at each seal. */
+    PageTokenSet page_tokens_;
+    /** The current line's tokens (reused buffer for typed extraction). */
+    std::vector<std::string_view> line_tokens_;
     uint64_t lines_ = 0;
     uint64_t raw_bytes_ = 0;
     uint64_t truncated_lines_ = 0;
