@@ -78,40 +78,55 @@ StatSet::bind(CounterSink *sink, std::string prefix)
 {
     sink_ = sink;
     prefix_ = std::move(prefix);
-    if (sink_ != nullptr) {
+    for (auto &[name, s] : counters_) {
+        s.cell = sink_ != nullptr ? &sink_->counterCell(prefix_ + name)
+                                  : nullptr;
         // Replay what accumulated before binding so the unified
         // namespace never under-counts (ingest can precede binding).
-        for (const auto &[name, value] : counters_) {
-            if (value != 0) {
-                forward(name, value);
-            }
+        if (s.cell != nullptr && s.value != 0) {
+            s.cell->add(s.value);
         }
     }
 }
 
-void
-StatSet::forward(const std::string &name, uint64_t delta)
+StatSet::Slot &
+StatSet::slot(std::string_view name)
 {
-    std::string full = prefix_;
-    full += name;
-    sink_->addCounter(full, delta);
+    auto it = counters_.find(name);
+    if (it == counters_.end()) {
+        it = counters_.emplace(std::string(name), Slot{}).first;
+        if (sink_ != nullptr) {
+            it->second.cell = &sink_->counterCell(prefix_ + it->first);
+        }
+    }
+    return it->second;
 }
 
 uint64_t
-StatSet::get(const std::string &name) const
+StatSet::get(std::string_view name) const
 {
     auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    return it == counters_.end() ? 0 : it->second.value;
+}
+
+std::map<std::string, uint64_t>
+StatSet::all() const
+{
+    std::map<std::string, uint64_t> out;
+    for (const auto &[name, s] : counters_) {
+        out.emplace(name, s.value);
+    }
+    return out;
 }
 
 std::string
 StatSet::toString() const
 {
     std::string out;
-    for (const auto &[name, value] : counters_) {
+    for (const auto &[name, s] : counters_) {
         out += name;
         out += ' ';
-        out += std::to_string(value);
+        out += std::to_string(s.value);
         out += '\n';
     }
     return out;

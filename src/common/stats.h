@@ -68,6 +68,20 @@ class Histogram
 };
 
 /**
+ * One forwarded counter: the unified registry's cell behind a StatSet
+ * name. Implemented by obs::Counter; declared here so common does not
+ * depend on obs.
+ */
+class CounterCell
+{
+  public:
+    virtual void add(uint64_t delta) = 0;
+
+  protected:
+    ~CounterCell() = default;
+};
+
+/**
  * Destination for forwarded counter updates.
  *
  * Implemented by obs::MetricsRegistry; declared here so the device
@@ -78,7 +92,10 @@ class CounterSink
 {
   public:
     virtual ~CounterSink() = default;
-    virtual void addCounter(std::string_view name, uint64_t delta) = 0;
+
+    /** The sink's counter named @p name, created on first use; the
+     *  reference stays valid for the sink's lifetime. */
+    virtual CounterCell &counterCell(std::string_view name) = 0;
 };
 
 /**
@@ -91,17 +108,20 @@ class CounterSink
  * directly. StatSet remains as a thin shim: when bound via bind(),
  * every add() also forwards to the sink under `prefix + name`, so the
  * legacy per-component counters and the unified namespace stay in
- * lockstep with a single call site.
+ * lockstep with a single call site. Each name resolves its forwarded
+ * counter once, when it is first counted or bound, so an add() is one
+ * map lookup and two increments.
  */
 class StatSet
 {
   public:
     void
-    add(const std::string &name, uint64_t delta = 1)
+    add(std::string_view name, uint64_t delta = 1)
     {
-        counters_[name] += delta;
-        if (sink_ != nullptr) {
-            forward(name, delta);
+        Slot &s = slot(name);
+        s.value += delta;
+        if (s.cell != nullptr) {
+            s.cell->add(delta);
         }
     }
 
@@ -110,9 +130,10 @@ class StatSet
      *  Pass nullptr to unbind. */
     void bind(CounterSink *sink, std::string prefix);
 
-    uint64_t get(const std::string &name) const;
+    uint64_t get(std::string_view name) const;
 
-    const std::map<std::string, uint64_t> &all() const { return counters_; }
+    /** Every counter by name. */
+    std::map<std::string, uint64_t> all() const;
 
     void clear() { counters_.clear(); }
 
@@ -120,9 +141,16 @@ class StatSet
     std::string toString() const;
 
   private:
-    void forward(const std::string &name, uint64_t delta);
+    struct Slot {
+        uint64_t value = 0;
+        CounterCell *cell = nullptr;  ///< forwarding target when bound
+    };
 
-    std::map<std::string, uint64_t> counters_;
+    /** The slot for @p name, created (and resolved against the sink)
+     *  on first use. */
+    Slot &slot(std::string_view name);
+
+    std::map<std::string, Slot, std::less<>> counters_;
     CounterSink *sink_ = nullptr;
     std::string prefix_;
 };

@@ -42,11 +42,12 @@
 
 namespace mithril::obs {
 
-/** Monotonically increasing counter (relaxed atomics). */
-class Counter
+/** Monotonically increasing counter (relaxed atomics). Also the cell
+ *  a legacy StatSet name forwards into (common/stats.h). */
+class Counter final : public CounterCell
 {
   public:
-    void add(uint64_t delta = 1)
+    void add(uint64_t delta = 1) override
     {
         // relaxed: independent monotonic counter; snapshot readers
         // tolerate a torn view across counters.
@@ -211,9 +212,9 @@ class MetricsRegistry : public CounterSink
     uint64_t counterValue(std::string_view name) const;
 
     /** CounterSink: legacy StatSet forwarding. */
-    void addCounter(std::string_view name, uint64_t delta) override
+    CounterCell &counterCell(std::string_view name) override
     {
-        counter(name).add(delta);
+        return counter(name);
     }
 
     MetricsSnapshot snapshot() const;
