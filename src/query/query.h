@@ -39,7 +39,7 @@ namespace mithril::query {
 struct Term {
     std::string token;
     bool negated = false;
-    typed::Predicate typed;
+    typed::Predicate typed{};
 
     bool operator==(const Term &) const = default;
 

@@ -6,6 +6,10 @@
 # Runs, in order (stopping at the first failure):
 #   1. werror build      full tree, -Wall -Wextra -Werror
 #   2. unit + bench tests ctest over the werror build
+#  2b. fingerprints + -j the `fingerprint` label (the device-image
+#      digests a fixed ingest and its recovery must reproduce), then
+#      the TypedE2e tests five times over at ctest -j4, the parallel
+#      schedule that once made them delete each other's images
 #   3. fault matrix      tools/fault_matrix.sh — end-to-end queries
 #      under corruption/timeout/mixed fault plans stay exactly correct
 #   4. crash matrix      tools/crash_matrix.sh — power-cut at every
@@ -28,13 +32,17 @@
 #      typed_query records must repeat byte-identically, carry the
 #      schema keys, and show the typed tier reading fewer device bytes
 #      than the full scan for byte-identical match sets
-#  10. thread safety     tools/run_tsa.sh — Clang -Wthread-safety over
+# 10. thread safety     tools/run_tsa.sh — Clang -Wthread-safety over
 #      src/, plus its fixture selftest (skipped where clang++ is not
 #      installed)
-#  11. domain lint       tools/mithril_lint.py (and its self-test)
-#  12. clang-tidy        tools/run_tidy.sh (skipped if not installed)
-#  13. ubsan build+test  full tree under -fsanitize=undefined
+# 11. domain lint       tools/mithril_lint.py (and its self-test)
+# 12. clang-tidy        tools/run_tidy.sh (skipped if not installed)
+# 13. ubsan build+test  full tree under -fsanitize=undefined
 #      (skipped with --fast)
+#
+# The final summary names every gate that was SKIPPED: a run on a
+# gcc-only box skips tsan, thread safety and clang-tidy, and is not a
+# full pass.
 #
 # This is the command ROADMAP's tier-1 verify can grow into: a tree
 # that passes ci_check.sh passes every gate a future PR is held to.
@@ -49,12 +57,24 @@ JOBS="$(nproc 2> /dev/null || echo 4)"
 
 step() { printf '\n=== ci_check: %s ===\n' "$*"; }
 
+# Gates that could not run here; listed in the final summary.
+SKIPPED=()
+skipped() {
+    echo "$1 unavailable: SKIPPED"
+    SKIPPED+=("$2")
+}
+
 step "werror build (preset: werror)"
 cmake --preset werror > /dev/null
 cmake --build --preset werror -j "$JOBS"
 
 step "unit + bench tests"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
+
+step "device fingerprints + parallel repeat (ctest -L fingerprint; TypedE2e -j4)"
+ctest --test-dir build-werror -L fingerprint --output-on-failure
+ctest --test-dir build-werror -R TypedE2e -j 4 --repeat until-fail:5 \
+    --output-on-failure
 
 step "fault matrix (tools/fault_matrix.sh)"
 tools/fault_matrix.sh build-werror/examples/mithril_cli \
@@ -84,7 +104,7 @@ if echo 'int main(){return 0;}' \
     cmake --build --preset tsan -j "$JOBS" --target svc_test
     ctest --test-dir build-tsan -L svc --output-on-failure -j "$JOBS"
 else
-    echo "thread sanitizer unavailable: SKIPPED (77)"
+    skipped "thread sanitizer" tsan
 fi
 
 step "soak SLO smoke (bench_soak_slo, deterministic)"
@@ -131,7 +151,7 @@ if tools/run_tsa.sh; then
 else
     rc=$?
     if [ "$rc" -eq 77 ]; then
-        echo "clang++ unavailable: SKIPPED"
+        skipped "clang++" "thread safety (TSA)"
     else
         exit "$rc"
     fi
@@ -148,7 +168,7 @@ if tools/run_tidy.sh build-werror; then
 else
     rc=$?
     if [ "$rc" -eq 77 ]; then
-        echo "clang-tidy unavailable: SKIPPED"
+        skipped "clang-tidy" clang-tidy
     else
         exit "$rc"
     fi
@@ -156,6 +176,7 @@ fi
 
 if [ "$FAST" -eq 1 ]; then
     step "ubsan tier skipped (--fast)"
+    SKIPPED+=("ubsan (--fast)")
 else
     step "ubsan build + tests (preset: ubsan)"
     cmake --preset ubsan > /dev/null
@@ -163,4 +184,13 @@ else
     ctest --test-dir build-ubsan --output-on-failure -j "$JOBS"
 fi
 
-step "ALL GATES PASSED"
+if [ "${#SKIPPED[@]}" -eq 0 ]; then
+    step "ALL GATES PASSED"
+else
+    list="${SKIPPED[0]}"
+    for gate in "${SKIPPED[@]:1}"; do
+        list+=", $gate"
+    done
+    step "ALL RUN GATES PASSED; SKIPPED: $list"
+    echo "not a full pass: the skipped gates did not run on this box"
+fi
