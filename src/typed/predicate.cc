@@ -149,7 +149,7 @@ parsePredicate(std::string_view word, Predicate *out)
         return parseIpPredicate(word, word.substr(3), out);
     }
     if (word.rfind("id:", 0) == 0) {
-        std::string nibbles;
+        std::string_view nibbles;
         if (!parseHexId(word.substr(3), &nibbles)) {
             return badPredicate(
                 word, "hex id needs >= 8 hex nibbles, one non-digit");
@@ -158,7 +158,7 @@ parsePredicate(std::string_view word, Predicate *out)
         TypedKey key = hexIdKey(nibbles);
         out->lo = key.bytes;
         out->hi = key.bytes;
-        out->text = "id:" + nibbles;
+        out->text = "id:" + formatKey(key);
         return Status::ok();
     }
     if (word.rfind("mac:", 0) == 0) {
