@@ -129,12 +129,28 @@ TEST(MithriLogTest, FallbackOnNonOffloadableQuery)
     ASSERT_TRUE(system.ingestText(smallCorpus()).isOk());
     EXPECT_TRUE(system.flush().isOk());
     // 9 union sets exceed the 8 flag pairs -> software fallback.
-    QueryResult r;
-    ASSERT_TRUE(system.run(mustParse(
+    query::Query q = mustParse(
         "INFO | FATAL | APP | KERNEL | cache | TLB | ciod | parity | "
-        "interrupt"), &r).isOk());
+        "interrupt");
+    QueryResult r;
+    ASSERT_TRUE(system.run(q, &r).isOk());
     EXPECT_TRUE(r.used_fallback);
     EXPECT_GT(r.matched_lines, 0u);
+
+    // The fallback keeps lines like the accelerator path does: exactly
+    // the corpus lines the host matcher accepts, in ingest order.
+    query::SoftwareMatcher matcher(q);
+    std::vector<std::string> expected;
+    forEachLine(smallCorpus(), [&](std::string_view line) {
+        if (matcher.matches(line)) {
+            expected.emplace_back(line);
+        }
+    });
+    std::vector<std::string> kept;
+    for (const accel::KeptLine &k : r.lines) {
+        kept.push_back(k.text);
+    }
+    EXPECT_EQ(kept, expected);
 }
 
 TEST(MithriLogTest, TextQueryInterface)
