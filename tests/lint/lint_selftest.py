@@ -168,6 +168,13 @@ expect_finding(out, "bad_typed.cc", 15, "typed-extractor")
 expect("bad_typed.cc:22" not in out,
        "typed::-qualified extraction is the sanctioned route")
 
+rc, out = run_lint("bad_tempdir.cc")
+expect(rc == 1, "bad_tempdir.cc exits 1")
+expect_finding(out, "bad_tempdir.cc", 11, "scratch-path")
+expect_finding(out, "bad_tempdir.cc", 17, "scratch-path")
+expect("bad_tempdir.cc:21" not in out,
+       "a comment naming TempDir() is not flagged")
+
 rc, out = run_lint("bad_guard.h")
 expect(rc == 1, "bad_guard.h exits 1")
 expect_finding(out, "bad_guard.h", 2, "header-guard")

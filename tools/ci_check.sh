@@ -7,7 +7,8 @@
 #   1. werror build      full tree, -Wall -Wextra -Werror
 #   2. unit + bench tests ctest over the werror build
 #  2b. fingerprints + -j the `fingerprint` label (the device-image
-#      digests a fixed ingest and its recovery must reproduce), then
+#      digests a fixed ingest and its recovery must reproduce, and
+#      what every query path returns over fixed stores), then
 #      the TypedE2e tests five times over at ctest -j4, the parallel
 #      schedule that once made them delete each other's images
 #   3. fault matrix      tools/fault_matrix.sh — end-to-end queries
@@ -71,7 +72,7 @@ cmake --build --preset werror -j "$JOBS"
 step "unit + bench tests"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-step "device fingerprints + parallel repeat (ctest -L fingerprint; TypedE2e -j4)"
+step "fingerprints + parallel repeat (ctest -L fingerprint; TypedE2e -j4)"
 ctest --test-dir build-werror -L fingerprint --output-on-failure
 ctest --test-dir build-werror -R TypedE2e -j 4 --repeat until-fail:5 \
     --output-on-failure

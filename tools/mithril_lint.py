@@ -71,6 +71,10 @@ repo-specific invariants no generic tool knows about:
                      seconds()/WallTimer arithmetic straight into a
                      counter or gauge loses the distribution and the
                      quantile exporters never see it.
+  scratch-path       tests name scratch files only through
+                     tests/testutil/scratch_path.h: a name built by
+                     hand in the shared ::testing::TempDir() collides
+                     with sibling tests under `ctest -j`.
   header-guard       include guards must be MITHRIL_<PATH>_H.
   include-order      a .cc includes its own header first; no "../"
                      uplevel includes; <system> before "project" blocks.
@@ -129,6 +133,8 @@ ALLOW = {
     # The typed subsystem is the audited home of field parsing; its
     # tests exercise the parsers directly.
     "typed-extractor": ("src/typed/", "tests/typed/"),
+    # The one helper that turns the test's identity into a file name.
+    "scratch-path": ("tests/testutil/scratch_path.h",),
 }
 
 RULE_HINTS = {
@@ -175,6 +181,9 @@ RULE_HINTS = {
                        "typed/extract.h) so ingest and query "
                        "normalize identically; no inet_* or ad-hoc "
                        "parseIp/extractMac helpers outside src/typed/",
+    "scratch-path": "name the file with testutil::scratchPath() "
+                    "(tests/testutil/scratch_path.h), which adds the "
+                    "full test name and the pid",
     "header-guard": "guard must be MITHRIL_<PATH>_H (path relative to "
                     "src/, or to the repo root outside src/)",
     "include-order": "own header first in a .cc; no \"../\" paths; "
@@ -614,6 +623,16 @@ def check_adhoc_latency(relpath, code):
                    "latency belongs in a quantile histogram")
 
 
+_TEMPDIR_RE = re.compile(r"\bTempDir\s*\(")
+
+
+def check_scratch_path(relpath, code):
+    for i, line in enumerate(code, start=1):
+        if _TEMPDIR_RE.search(line):
+            yield (i, "scratch-path",
+                   "TempDir() outside tests/testutil/scratch_path.h")
+
+
 def expected_guard(relpath):
     rel = relpath[4:] if relpath.startswith("src/") else relpath
     return "MITHRIL_" + re.sub(r"[^A-Za-z0-9]", "_", rel).upper()
@@ -763,6 +782,7 @@ SIMPLE_RULES = (
     check_checkpoint_epoch,
     check_typed_extractor,
     check_adhoc_latency,
+    check_scratch_path,
     check_header_guard,
     check_include_order,
 )
@@ -785,6 +805,7 @@ RULE_OF_CHECK = {
     check_checkpoint_epoch: "checkpoint-epoch",
     check_typed_extractor: "typed-extractor",
     check_adhoc_latency: "adhoc-latency",
+    check_scratch_path: "scratch-path",
     check_header_guard: "header-guard",
     check_include_order: "include-order",
 }
