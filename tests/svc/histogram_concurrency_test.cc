@@ -140,12 +140,14 @@ TEST(HistogramConcurrency, SvcWorkersRecordStageLatencies)
             }
         });
     }
+    // At least one query runs even when the producers finish before
+    // this thread is first scheduled (a loaded `ctest -j` host).
     std::thread querier([&service, &stop] {
-        while (!stop.load()) {
+        do {
             svc::ServiceQueryResult r;
             Status st = service.query("payload", &r);
             ASSERT_TRUE(st.isOk()) << st.toString();
-        }
+        } while (!stop.load());
     });
     for (std::thread &t : producers) {
         t.join();
