@@ -60,10 +60,10 @@ main(int argc, char **argv)
     }
 
     obs::MetricsSnapshot snap = benchMetrics().snapshot();
-    std::printf("\n%zu counters, %zu gauges, %zu histograms in the "
-                "registry; %zu spans traced\n",
+    std::printf("\n%zu counters, %zu gauges in the registry; %zu spans "
+                "traced\n",
                 snap.counters.size(), snap.gauges.size(),
-                snap.histograms.size(), benchTracer().events().size());
+                benchTracer().events().size());
     finishBench();
     return 0;
 }

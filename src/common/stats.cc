@@ -7,19 +7,6 @@
 
 namespace mithril {
 
-void
-Distribution::record(double value)
-{
-    if (count_ == 0) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    sum_ += value;
-    ++count_;
-}
-
 Histogram::Histogram(std::vector<double> edges)
     : edges_(std::move(edges)), counts_(edges_.size() + 1, 0)
 {
@@ -69,65 +56,6 @@ Histogram::render(size_t bar_width) const
                       std::string(bar, '#').c_str(),
                       static_cast<unsigned long long>(counts_[i]));
         out += line;
-    }
-    return out;
-}
-
-void
-StatSet::bind(CounterSink *sink, std::string prefix)
-{
-    sink_ = sink;
-    prefix_ = std::move(prefix);
-    for (auto &[name, s] : counters_) {
-        s.cell = sink_ != nullptr ? &sink_->counterCell(prefix_ + name)
-                                  : nullptr;
-        // Replay what accumulated before binding so the unified
-        // namespace never under-counts (ingest can precede binding).
-        if (s.cell != nullptr && s.value != 0) {
-            s.cell->add(s.value);
-        }
-    }
-}
-
-StatSet::Slot &
-StatSet::slot(std::string_view name)
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-        it = counters_.emplace(std::string(name), Slot{}).first;
-        if (sink_ != nullptr) {
-            it->second.cell = &sink_->counterCell(prefix_ + it->first);
-        }
-    }
-    return it->second;
-}
-
-uint64_t
-StatSet::get(std::string_view name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value;
-}
-
-std::map<std::string, uint64_t>
-StatSet::all() const
-{
-    std::map<std::string, uint64_t> out;
-    for (const auto &[name, s] : counters_) {
-        out.emplace(name, s.value);
-    }
-    return out;
-}
-
-std::string
-StatSet::toString() const
-{
-    std::string out;
-    for (const auto &[name, s] : counters_) {
-        out += name;
-        out += ' ';
-        out += std::to_string(s.value);
-        out += '\n';
     }
     return out;
 }

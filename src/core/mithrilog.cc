@@ -39,61 +39,53 @@ narrow(std::optional<std::vector<T>> *set, std::vector<T> other)
 } // namespace
 
 MithriLog::MithriLog(MithriLogConfig config)
-    : config_(config), ssd_(config.ssd), journal_(&ssd_),
+    : config_(config), ssd_(config.ssd, config.metrics), journal_(&ssd_),
       index_(std::make_unique<index::InvertedIndex>(&ssd_, config.index)),
       typed_index_(std::make_unique<typed::TypedIndex>(&ssd_)),
       accel_(config.accel)
 {
-    if (config_.metrics != nullptr) {
-        metrics_ = config_.metrics;
-    } else {
-        owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-        metrics_ = owned_metrics_.get();
-    }
     if (config_.tracer != nullptr) {
         tracer_ = config_.tracer;
     } else {
         owned_tracer_ = std::make_unique<obs::Tracer>();
         tracer_ = owned_tracer_.get();
     }
-    ssd_.bindMetrics(metrics_);
-    journal_.bindMetrics(metrics_);
-    index_->bindMetrics(metrics_);
-    typed_index_->bindMetrics(metrics_);
-    accel_.bindMetrics(metrics_);
+    obs::MetricsRegistry *metrics = &ssd_.metrics();
+    journal_.bindMetrics(metrics);
+    accel_.bindMetrics(metrics);
 
-    counters_.lines_ingested = &metrics_->counter("core.lines_ingested");
+    counters_.lines_ingested = &metrics->counter("core.lines_ingested");
     counters_.lines_truncated =
-        &metrics_->counter("core.lines_truncated");
-    counters_.pages_sealed = &metrics_->counter("core.pages_sealed");
-    counters_.lzah_bytes_in = &metrics_->counter("lzah.bytes_in");
-    counters_.lzah_bytes_out = &metrics_->counter("lzah.bytes_out");
-    counters_.queries = &metrics_->counter("core.queries");
+        &metrics->counter("core.lines_truncated");
+    counters_.pages_sealed = &metrics->counter("core.pages_sealed");
+    counters_.lzah_bytes_in = &metrics->counter("lzah.bytes_in");
+    counters_.lzah_bytes_out = &metrics->counter("lzah.bytes_out");
+    counters_.queries = &metrics->counter("core.queries");
     counters_.query_fallbacks =
-        &metrics_->counter("core.query_fallbacks");
+        &metrics->counter("core.query_fallbacks");
     counters_.planner_full_scans =
-        &metrics_->counter("core.planner_full_scans");
+        &metrics->counter("core.planner_full_scans");
     counters_.candidate_pages =
-        &metrics_->counter("index.candidate_pages");
+        &metrics->counter("index.candidate_pages");
     counters_.false_positive_pages =
-        &metrics_->counter("index.false_positive_pages");
+        &metrics->counter("index.false_positive_pages");
     counters_.degraded_index_scans =
-        &metrics_->counter("core.degraded_index_scans");
+        &metrics->counter("core.degraded_index_scans");
     counters_.degraded_software_scans =
-        &metrics_->counter("core.degraded_software_scans");
-    counters_.typed_queries = &metrics_->counter("core.typed_queries");
+        &metrics->counter("core.degraded_software_scans");
+    counters_.typed_queries = &metrics->counter("core.typed_queries");
     counters_.degraded_typed_scans =
-        &metrics_->counter("core.degraded_typed_scans");
+        &metrics->counter("core.degraded_typed_scans");
     counters_.crc_failed_pages =
-        &metrics_->counter("core.crc_failed_pages");
-    counters_.pages_dropped = &metrics_->counter("core.pages_dropped");
-    counters_.ssd_read_retries = &metrics_->counter("ssd.read_retries");
+        &metrics->counter("core.crc_failed_pages");
+    counters_.pages_dropped = &metrics->counter("core.pages_dropped");
+    counters_.ssd_read_retries = &metrics->counter("ssd.read_retries");
 
-    stages_.lzah_encode = obs::StageLatency(metrics_, "lzah.encode");
+    stages_.lzah_encode = obs::StageLatency(metrics, "lzah.encode");
     stages_.journal_commit =
-        obs::StageLatency(metrics_, "journal.commit");
+        obs::StageLatency(metrics, "journal.commit");
     stages_.query_compile =
-        obs::StageLatency(metrics_, "query.compile");
+        obs::StageLatency(metrics, "query.compile");
 }
 
 Status
@@ -236,7 +228,7 @@ MithriLog::flush()
     }
     index_->flush();
     typed_index_->flush();
-    metrics_->gauge("lzah.ratio").set(compressionRatio());
+    metrics().gauge("lzah.ratio").set(compressionRatio());
     return Status::ok();
 }
 
@@ -326,9 +318,9 @@ Status
 MithriLog::cleanSegments()
 {
     storage::PageStore &store = ssd_.store();
-    obs::Counter &migrations = metrics_->counter("storage.migrations");
+    obs::Counter &migrations = metrics().counter("storage.migrations");
     obs::Counter &retries =
-        metrics_->counter("storage.migration_retries");
+        metrics().counter("storage.migration_retries");
     // Highest cold segment first: destinations are strictly below the
     // victim, so a migrated page can never land back in it and every
     // pass monotonically drains the top of the slot array.
@@ -399,9 +391,9 @@ void
 MithriLog::updateStorageGauges()
 {
     const storage::PageStore &store = ssd_.store();
-    metrics_->gauge("storage.segments_live")
+    metrics().gauge("storage.segments_live")
         .set(static_cast<double>(store.segmentsLive()));
-    metrics_->gauge("storage.segments_freed")
+    metrics().gauge("storage.segments_freed")
         .set(static_cast<double>(store.segmentsFreed()));
 }
 
@@ -1369,25 +1361,25 @@ MithriLog::recover(const std::string &path)
         survivors.empty() ? 0 : survivors.back().cp.record_seq;
     reopen_rr_ = std::move(rr);
 
-    metrics_->counter("recovery.journal_pages_replayed")
+    metrics().counter("recovery.journal_pages_replayed")
         .add(reopen_rr_.journal_pages);
-    metrics_->counter("recovery.records_replayed")
+    metrics().counter("recovery.records_replayed")
         .add(reopen_rr_.records);
-    metrics_->counter("recovery.pages_committed")
+    metrics().counter("recovery.pages_committed")
         .add(reopen_rr_.pages.size());
-    metrics_->counter("recovery.pages_discarded").add(discarded);
-    metrics_->counter("recovery.pages_swept").add(swept);
-    metrics_->counter("recovery.lines_recovered").add(lines_);
+    metrics().counter("recovery.pages_discarded").add(discarded);
+    metrics().counter("recovery.pages_swept").add(swept);
+    metrics().counter("recovery.lines_recovered").add(lines_);
     // Total logical records this mount replayed (snapshot + tail): the
     // quantity the checkpoint bounds, exposed for the bounded-replay
     // gates.
-    metrics_->gauge("recovery.replay_records")
+    metrics().gauge("recovery.replay_records")
         .set(static_cast<double>(reopen_rr_.records));
-    metrics_->gauge("journal.generation")
+    metrics().gauge("journal.generation")
         .set(static_cast<double>(reopen_rr_.generation));
     updateStorageGauges();
     // mithril-lint: allow(adhoc-latency) one-shot mount-time total, not a latency sample
-    metrics_->counter("recovery.modeled_ps").add(ssd_.elapsed().ps());
+    metrics().counter("recovery.modeled_ps").add(ssd_.elapsed().ps());
     span.end();
     return Status::ok();
 }

@@ -88,7 +88,8 @@ struct MithriLogConfig {
     /**
      * External metric registry / tracer to report into (benches and
      * services aggregating several systems share one). When null the
-     * system owns private instances, reachable via metrics()/tracer().
+     * system owns private instances, reachable via metrics()/tracer()
+     * (the registry is the SSD model's own).
      */
     obs::MetricsRegistry *metrics = nullptr;
     obs::Tracer *tracer = nullptr;
@@ -436,10 +437,11 @@ class MithriLog
 
     // ---- observability --------------------------------------------------
 
-    /** The unified metric namespace (`ssd.*`, `index.*`, `accel.*`,
-     *  `lzah.*`, `core.*`); config-supplied or system-owned. */
-    obs::MetricsRegistry &metrics() { return *metrics_; }
-    const obs::MetricsRegistry &metrics() const { return *metrics_; }
+    /** The unified metric namespace (`ssd.*`, `index.*`, `typed.*`,
+     *  `accel.*`, `lzah.*`, `core.*`): config-supplied, else owned by
+     *  the SSD model, which every component reports through. */
+    obs::MetricsRegistry &metrics() { return ssd_.metrics(); }
+    const obs::MetricsRegistry &metrics() const { return ssd_.metrics(); }
 
     /** Span buffer covering the query datapath in both time domains. */
     obs::Tracer &tracer() { return *tracer_; }
@@ -576,9 +578,7 @@ class MithriLog
                      uint64_t retries_before);
 
     MithriLogConfig config_;
-    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     std::unique_ptr<obs::Tracer> owned_tracer_;
-    obs::MetricsRegistry *metrics_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
 
     /** Hot-path counters, resolved once (registry refs are stable). */

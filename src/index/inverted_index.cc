@@ -23,10 +23,25 @@ constexpr size_t kRootPerPage = 4096 / 144;   // 28
 
 } // namespace
 
+InvertedIndex::Counters::Counters(obs::MetricsRegistry &m)
+    : leaf_pages_allocated(m.counter("index.leaf_pages_allocated")),
+      leaf_nodes_flushed(m.counter("index.leaf_nodes_flushed")),
+      index_pages_allocated(m.counter("index.index_pages_allocated")),
+      root_nodes_flushed(m.counter("index.root_nodes_flushed")),
+      snapshots(m.counter("index.snapshots")),
+      corrupt_refs(m.counter("index.corrupt_refs")),
+      node_crc_recoveries(m.counter("index.node_crc_recoveries")),
+      node_crc_failures(m.counter("index.node_crc_failures")),
+      root_visits(m.counter("index.root_visits")),
+      lookups(m.counter("index.lookups")),
+      pages_returned(m.counter("index.pages_returned"))
+{
+}
+
 InvertedIndex::InvertedIndex(storage::SsdModel *ssd, IndexConfig config)
     : ssd_(ssd), config_(config),
       hashes_(config.hash_entries, 0x1d8f00d5ull, 0x9aa2c3b7ull),
-      entries_(config.hash_entries)
+      entries_(config.hash_entries), counters_(ssd->metrics())
 {
     MITHRIL_ASSERT(config_.node_arity <= 16);
     MITHRIL_ASSERT(config_.buffer_slots <= 16);
@@ -86,7 +101,7 @@ InvertedIndex::writeLeaf(const Entry &entry)
         open_leaf_slot_ >= kLeafPerPage) {
         open_leaf_page_ = ssd_->allocate();
         open_leaf_slot_ = 0;
-        stats_.add("leaf_pages_allocated");
+        counters_.leaf_pages_allocated.add();
     }
     LeafNode node{};
     node.count = static_cast<uint16_t>(entry.buffer.size());
@@ -101,8 +116,7 @@ InvertedIndex::writeLeaf(const Entry &entry)
     ++open_leaf_slot_;
     // Meter the program cost once per filled page.
     if (open_leaf_slot_ >= kLeafPerPage) {
-        ssd_->stats().add("pages_written");
-        ssd_->stats().add("bytes_written", kPageSize);
+        ssd_->countInPlaceProgram(kPageSize);
     }
     return ref;
 }
@@ -118,7 +132,7 @@ InvertedIndex::flushBuffer(Entry *entry)
     entry->leaf_refs.push_back(ref);
     ++leaf_flushes_;
     ++leaves_since_snapshot_;
-    stats_.add("leaf_nodes_flushed");
+    counters_.leaf_nodes_flushed.add();
     if (entry->leaf_refs.size() >= config_.node_arity) {
         flushRoot(entry);
     }
@@ -134,7 +148,7 @@ InvertedIndex::flushRoot(Entry *entry)
         open_root_slot_ >= kRootPerPage) {
         open_root_page_ = ssd_->allocate();
         open_root_slot_ = 0;
-        stats_.add("index_pages_allocated");
+        counters_.index_pages_allocated.add();
     }
     RootNode node{};
     node.next = entry->head_root;
@@ -149,7 +163,7 @@ InvertedIndex::flushRoot(Entry *entry)
     entry->head_root = (open_root_page_ << kSlotBits) | open_root_slot_;
     ++open_root_slot_;
     entry->leaf_refs.clear();
-    stats_.add("root_nodes_flushed");
+    counters_.root_nodes_flushed.add();
 }
 
 void
@@ -167,7 +181,7 @@ InvertedIndex::maybeSnapshot(uint64_t timestamp)
     if (leaves_since_snapshot_ >= config_.snapshot_leaf_interval) {
         snapshots_.push_back({timestamp, max_data_page_});
         leaves_since_snapshot_ = 0;
-        stats_.add("snapshots");
+        counters_.snapshots.add();
     }
 }
 
@@ -189,7 +203,7 @@ InvertedIndex::collectEntry(const Entry &entry,
     // lookup as incomplete so the query path can degrade to a full
     // scan rather than silently return a short result.
     auto lost = [&] {
-        stats_.add("corrupt_refs");
+        counters_.corrupt_refs.add();
         if (integrity_lost != nullptr) {
             *integrity_lost = true;
         }
@@ -254,11 +268,11 @@ InvertedIndex::collectEntry(const Entry &entry,
                 cache[page] = std::move(fresh);
                 ok = extract();
                 if (ok) {
-                    stats_.add("node_crc_recoveries");
+                    counters_.node_crc_recoveries.add();
                 }
             }
             if (!ok) {
-                stats_.add("node_crc_failures");
+                counters_.node_crc_failures.add();
                 lost();
                 continue;
             }
@@ -312,24 +326,24 @@ InvertedIndex::collectEntry(const Entry &entry,
             bytes = std::move(fresh);
             ok = extract();
             if (ok) {
-                stats_.add("node_crc_recoveries");
+                counters_.node_crc_recoveries.add();
             }
         }
         if (!ok) {
-            stats_.add("node_crc_failures");
+            counters_.node_crc_failures.add();
             lost();
             break;
         }
         read_leaves(std::span<const uint64_t>(node.leaf_refs, node.count));
         ref = node.next;
-        stats_.add("root_visits");
+        counters_.root_visits.add();
     }
 }
 
 std::vector<PageId>
 InvertedIndex::lookup(std::string_view token, bool *integrity_lost)
 {
-    stats_.add("lookups");
+    counters_.lookups.add();
     std::vector<PageId> pages;
     uint32_t i0 = hashes_.h0(token);
     collectEntry(entries_[i0], &pages, integrity_lost);
@@ -343,7 +357,7 @@ InvertedIndex::lookup(std::string_view token, bool *integrity_lost)
     // chronology and drops duplicates (page ids are allocation-ordered).
     std::sort(pages.begin(), pages.end());
     pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-    stats_.add("pages_returned", pages.size());
+    counters_.pages_returned.add(pages.size());
     return pages;
 }
 

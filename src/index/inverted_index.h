@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/ssd_model.h"
@@ -152,15 +151,11 @@ class InvertedIndex
      */
     Status deserialize(std::span<const uint8_t> in);
 
-    /** Counters: leaf/root flushes, lookups, pages returned, ... */
-    const StatSet &stats() const { return stats_; }
-
-    /** Joins the unified metric namespace: counters forward as
-     *  `index.*` (lookups, pages_returned = candidate pages, node
-     *  flushes, corrupt refs). */
-    void bindMetrics(obs::MetricsRegistry *metrics)
+    /** Counters (`index.*` in the device's registry): lookups,
+     *  pages_returned = candidate pages, node flushes, corrupt refs. */
+    obs::CounterView stats() const
     {
-        stats_.bind(metrics, "index.");
+        return {ssd_->metrics(), "index."};
     }
 
   private:
@@ -233,7 +228,23 @@ class InvertedIndex
     uint64_t leaves_since_snapshot_ = 0;
     storage::PageId max_data_page_ = 0;
     std::vector<SnapshotRecord> snapshots_;
-    StatSet stats_;
+
+    /** The `index.*` counters, resolved once. */
+    struct Counters {
+        explicit Counters(obs::MetricsRegistry &m);
+
+        obs::Counter &leaf_pages_allocated;
+        obs::Counter &leaf_nodes_flushed;
+        obs::Counter &index_pages_allocated;
+        obs::Counter &root_nodes_flushed;
+        obs::Counter &snapshots;
+        obs::Counter &corrupt_refs;
+        obs::Counter &node_crc_recoveries;
+        obs::Counter &node_crc_failures;
+        obs::Counter &root_visits;
+        obs::Counter &lookups;
+        obs::Counter &pages_returned;
+    } counters_;
 };
 
 } // namespace mithril::index

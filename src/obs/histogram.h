@@ -1,16 +1,17 @@
 /**
  * @file
- * mithril::obs — mergeable quantile histograms for tail latency.
+ * mithril::obs — mergeable quantile histograms.
  *
- * LogHistogram (metrics.h) answers "what order of magnitude" — fine
- * for sizes and depths, far too coarse for p99/p999 latency, where a
- * power-of-two bucket hides an 8x regression. Histogram here is the
- * tail-latency instrument: log-linear (HDR-style) buckets with
- * kSubCount linear sub-buckets per power of two, bounding the relative
- * quantile error at 1/kSubCount (3.125%) over the full uint64 range
- * while staying a fixed-size array of relaxed atomics — recording is
- * three wait-free adds plus two bounded CAS loops (min/max), cheap
- * enough for every stage of the datapath.
+ * Histogram is the one distribution instrument: stage latencies and
+ * the size and depth distributions (`ssd.batch_pages`,
+ * `svc.batch_lines`, `svc.queue_depth`) all record into it. A
+ * power-of-two bucket would be fine for sizes but hides an 8x
+ * regression at p99/p999 latency, so the buckets are log-linear
+ * (HDR-style), with kSubCount linear sub-buckets per power of two,
+ * bounding the relative quantile error at 1/kSubCount (3.125%) over
+ * the full uint64 range while staying a fixed-size array of relaxed
+ * atomics — recording is three wait-free adds plus two bounded CAS
+ * loops (min/max), cheap enough for every stage of the datapath.
  *
  * Merge is bucket-wise addition: associative and commutative, so
  * per-shard / per-worker histograms roll up to the same totals in any

@@ -5,7 +5,7 @@
  * The paper's evaluation is built on breakdowns (Figure 15's
  * effective-throughput histograms, Table 7's index/storage/compute
  * splits), so the reproduction carries a first-class metrics layer:
- * one process-wide namespace of named counters, gauges, and log-scale
+ * one process-wide namespace of named counters, gauges, and
  * histograms that the device models, the accelerator emulation, the
  * index, and the core query path all report into.
  *
@@ -24,7 +24,6 @@
 #ifndef MITHRIL_OBS_METRICS_H
 #define MITHRIL_OBS_METRICS_H
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <initializer_list>
@@ -36,18 +35,16 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "obs/histogram.h"
 
 namespace mithril::obs {
 
-/** Monotonically increasing counter (relaxed atomics). Also the cell
- *  a legacy StatSet name forwards into (common/stats.h). */
-class Counter final : public CounterCell
+/** Monotonically increasing counter (relaxed atomics). */
+class Counter
 {
   public:
-    void add(uint64_t delta = 1) override
+    void add(uint64_t delta = 1)
     {
         // relaxed: independent monotonic counter; snapshot readers
         // tolerate a torn view across counters.
@@ -80,85 +77,11 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/**
- * Log2-scale histogram over unsigned samples.
- *
- * Bucket 0 holds zeros; bucket i >= 1 holds values in
- * [2^(i-1), 2^i). 65 buckets cover the full uint64 range, so there is
- * never an overflow bucket to reason about. Recording is lock-free.
- */
-class LogHistogram
-{
-  public:
-    static constexpr size_t kBuckets = 65;
-
-    void record(uint64_t value)
-    {
-        // relaxed: every cell is an independent monotonic counter;
-        // readers tolerate bucket/count/sum tearing mid-record.
-        counts_[bucketFor(value)].fetch_add(1,
-                                            std::memory_order_relaxed);
-        count_.fetch_add(1, std::memory_order_relaxed);
-        sum_.fetch_add(value, std::memory_order_relaxed);
-    }
-
-    /** Bucket index a value lands in: 0 for 0, else 1 + floor(log2). */
-    static size_t bucketFor(uint64_t value)
-    {
-        size_t bits = 0;
-        while (value != 0) {
-            ++bits;
-            value >>= 1;
-        }
-        return bits;
-    }
-
-    /** Inclusive lower bound of bucket @p i (0, 1, 2, 4, 8, ...). */
-    static uint64_t bucketLo(size_t i)
-    {
-        return i == 0 ? 0 : 1ull << (i - 1);
-    }
-
-    uint64_t bucketCount(size_t i) const
-    {
-        // relaxed: reporting-side read of an independent counter.
-        return counts_.at(i).load(std::memory_order_relaxed);
-    }
-
-    uint64_t count() const
-    {
-        // relaxed: reporting-side read of an independent counter.
-        return count_.load(std::memory_order_relaxed);
-    }
-
-    // relaxed: reporting-side read of an independent counter.
-    uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-
-    double mean() const
-    {
-        uint64_t n = count();
-        return n ? static_cast<double>(sum()) / static_cast<double>(n)
-                 : 0.0;
-    }
-
-  private:
-    std::array<std::atomic<uint64_t>, kBuckets> counts_{};
-    std::atomic<uint64_t> count_{0};
-    std::atomic<uint64_t> sum_{0};
-};
-
 /** One metric label (key=value); labels sort into the metric name. */
 using Label = std::pair<std::string_view, std::string_view>;
 
 /** Point-in-time copy of a registry, for reporting and tests. */
 struct MetricsSnapshot {
-    struct HistogramData {
-        uint64_t count = 0;
-        uint64_t sum = 0;
-        /** (bucket lower bound, count) for non-empty buckets only. */
-        std::vector<std::pair<uint64_t, uint64_t>> buckets;
-    };
-
     /** Quantile histogram (obs::Histogram) with extracted tail. */
     struct QuantileHistogramData {
         uint64_t count = 0;
@@ -172,19 +95,11 @@ struct MetricsSnapshot {
 
     std::map<std::string, uint64_t> counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, HistogramData> histograms;
     std::map<std::string, QuantileHistogramData> quantile_histograms;
 };
 
-/**
- * The process-wide metric namespace.
- *
- * Also implements common's CounterSink so legacy StatSet instances
- * (SsdModel, InvertedIndex) forward their counters here with a
- * subsystem prefix — one namespace, no double bookkeeping required by
- * callers.
- */
-class MetricsRegistry : public CounterSink
+/** The process-wide metric namespace. */
+class MetricsRegistry
 {
   public:
     MetricsRegistry() = default;
@@ -199,23 +114,14 @@ class MetricsRegistry : public CounterSink
     Gauge &gauge(std::string_view name,
                  std::initializer_list<Label> labels = {});
 
-    LogHistogram &histogram(std::string_view name,
-                            std::initializer_list<Label> labels = {});
-
-    /** Returns (creating on first use) the named quantile histogram —
-     *  the tail-latency instrument (obs/histogram.h). Snapshot under
-     *  the `quantiles` section with p50/p90/p99/p999 extracted. */
+    /** Returns (creating on first use) the named histogram
+     *  (obs/histogram.h): latencies, sizes and depths alike. Snapshot
+     *  under the `quantiles` section with p50/p90/p99/p999 extracted. */
     Histogram &quantileHistogram(std::string_view name,
                                  std::initializer_list<Label> labels = {});
 
     /** Current value of a counter; 0 if it was never touched. */
     uint64_t counterValue(std::string_view name) const;
-
-    /** CounterSink: legacy StatSet forwarding. */
-    CounterCell &counterCell(std::string_view name) override
-    {
-        return counter(name);
-    }
 
     MetricsSnapshot snapshot() const;
 
@@ -249,10 +155,37 @@ class MetricsRegistry : public CounterSink
         counters_ MITHRIL_GUARDED_BY(mu_);
     std::map<std::string, std::unique_ptr<Gauge>, std::less<>>
         gauges_ MITHRIL_GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>>
-        histograms_ MITHRIL_GUARDED_BY(mu_);
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
         quantile_histograms_ MITHRIL_GUARDED_BY(mu_);
+};
+
+/**
+ * Read-only view of the counters under one name prefix: a component's
+ * `stats()`, e.g. `ssd.` so that get("pages_read") reads
+ * `ssd.pages_read`. Reads go to the registry, so the view and the
+ * registry never disagree.
+ */
+class CounterView
+{
+  public:
+    /** @p prefix must outlive the view (a string literal). */
+    CounterView(const MetricsRegistry &registry, std::string_view prefix)
+        : registry_(&registry), prefix_(prefix)
+    {
+    }
+
+    /** Current value of `prefix + name`; 0 if never touched. */
+    uint64_t
+    get(std::string_view name) const
+    {
+        std::string full(prefix_);
+        full += name;
+        return registry_->counterValue(full);
+    }
+
+  private:
+    const MetricsRegistry *registry_;
+    std::string_view prefix_;
 };
 
 } // namespace mithril::obs

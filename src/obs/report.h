@@ -23,13 +23,13 @@
 namespace mithril::obs {
 
 /**
- * Snapshot JSON:
+ * Snapshot JSON. `quantiles` holds every histogram: the stage
+ * latencies (`<stage>.wall_ns` / `<stage>.sim_ps`) and the size and
+ * depth distributions (`ssd.batch_pages`, `svc.batch_lines`,
+ * `svc.queue_depth`).
  * {
  *   "counters":   {"ssd.pages_read": 123, ...},
  *   "gauges":     {"lzah.ratio": 2.1, ...},
- *   "histograms": {"ssd.batch_pages":
- *                    {"count": n, "sum": s,
- *                     "buckets": [{"lo": 1, "count": 4}, ...]}, ...},
  *   "quantiles":  {"svc.queue_wait.sim_ps":
  *                    {"count": n, "sum": s, "min": m, "max": M,
  *                     "p50": ..., "p90": ..., "p99": ..., "p999": ...,

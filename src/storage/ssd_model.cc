@@ -5,32 +5,37 @@
 
 namespace mithril::storage {
 
-SsdModel::SsdModel(SsdConfig config) : config_(config) {}
-
-void
-SsdModel::bindMetrics(obs::MetricsRegistry *metrics)
+SsdModel::Counters::Counters(obs::MetricsRegistry &m)
+    : pages_read(m.counter("ssd.pages_read")),
+      bytes_read(m.counter("ssd.bytes_read")),
+      pages_written(m.counter("ssd.pages_written")),
+      bytes_written(m.counter("ssd.bytes_written")),
+      read_commands(m.counter("ssd.read_commands")),
+      chained_reads(m.counter("ssd.chained_reads")),
+      overlapped_reads(m.counter("ssd.overlapped_reads")),
+      read_retries(m.counter("ssd.read_retries")),
+      flushes(m.counter("ssd.flushes")),
+      internal_link_busy_ps(m.counter("ssd.internal_link_busy_ps")),
+      external_link_busy_ps(m.counter("ssd.external_link_busy_ps")),
+      batch_pages(m.quantileHistogram("ssd.batch_pages"))
 {
-    metrics_ = metrics;
-    if (metrics_ != nullptr) {
-        stats_.bind(metrics_, "ssd.");
-        link_busy_[0] = &metrics_->counter("ssd.internal_link_busy_ps");
-        link_busy_[1] = &metrics_->counter("ssd.external_link_busy_ps");
-        batch_pages_ = &metrics_->histogram("ssd.batch_pages");
-    } else {
-        stats_.bind(nullptr, "");
-        link_busy_[0] = link_busy_[1] = nullptr;
-        batch_pages_ = nullptr;
-    }
-    if (fault_plan_ != nullptr) {
-        fault_plan_->bindMetrics(metrics_);
-    }
+}
+
+SsdModel::SsdModel(SsdConfig config, obs::MetricsRegistry *metrics)
+    : config_(config),
+      owned_metrics_(metrics != nullptr
+                         ? nullptr
+                         : std::make_unique<obs::MetricsRegistry>()),
+      metrics_(metrics != nullptr ? metrics : owned_metrics_.get()),
+      counters_(*metrics_)
+{
 }
 
 void
 SsdModel::attachFaultPlan(fault::FaultPlan *plan)
 {
     fault_plan_ = plan;
-    if (fault_plan_ != nullptr && metrics_ != nullptr) {
+    if (fault_plan_ != nullptr) {
         fault_plan_->bindMetrics(metrics_);
     }
 }
@@ -45,11 +50,10 @@ SsdModel::bandwidth(Link link) const
 void
 SsdModel::meterTransfer(uint64_t pages, SimTime busy, Link link)
 {
-    if (metrics_ == nullptr) {
-        return;
-    }
-    link_busy_[link == Link::kInternal ? 0 : 1]->add(busy.ps());
-    batch_pages_->record(
+    (link == Link::kInternal ? counters_.internal_link_busy_ps
+                             : counters_.external_link_busy_ps)
+        .add(busy.ps());
+    counters_.batch_pages.record(
         std::min<uint64_t>(pages, config_.parallel_commands));
 }
 
@@ -106,6 +110,13 @@ SsdModel::timeBatchWrite(uint64_t pages) const
            SimTime::transfer(pages * kPageSize, config_.internal_bw_bps);
 }
 
+void
+SsdModel::countInPlaceProgram(uint64_t bytes)
+{
+    counters_.pages_written.add();
+    counters_.bytes_written.add(bytes);
+}
+
 Status
 SsdModel::writePage(PageId id, std::span<const uint8_t> data)
 {
@@ -120,8 +131,8 @@ SsdModel::writePage(PageId id, std::span<const uint8_t> data)
             std::to_string(data.size()) + " bytes");
     }
     clock_ += SimTime::transfer(kPageSize, config_.internal_bw_bps);
-    stats_.add("pages_written");
-    stats_.add("bytes_written", data.size());
+    counters_.pages_written.add();
+    counters_.bytes_written.add(data.size());
     if (fault_plan_ != nullptr) {
         fault::WriteFault f = fault_plan_->drawWrite(id, data.size());
         if (f.power_cut) {
@@ -157,8 +168,8 @@ SsdModel::writePhysical(uint64_t slot, std::span<const uint8_t> data)
             std::to_string(data.size()) + " bytes");
     }
     clock_ += SimTime::transfer(kPageSize, config_.internal_bw_bps);
-    stats_.add("pages_written");
-    stats_.add("bytes_written", data.size());
+    counters_.pages_written.add();
+    counters_.bytes_written.add(data.size());
     if (fault_plan_ != nullptr) {
         fault::WriteFault f = fault_plan_->drawWrite(slot, data.size());
         if (f.power_cut) {
@@ -186,9 +197,9 @@ SsdModel::readPhysical(uint64_t slot, std::span<const uint8_t> *out)
     }
     SimTime busy = SimTime::transfer(kPageSize, config_.internal_bw_bps);
     clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("overlapped_reads");
+    counters_.pages_read.add();
+    counters_.bytes_read.add(kPageSize);
+    counters_.overlapped_reads.add();
     meterTransfer(1, busy, Link::kInternal);
     return store_.readPhysical(slot, out);
 }
@@ -200,7 +211,7 @@ SsdModel::flushBarrier()
         return Status::unavailable("device power lost");
     }
     clock_ += config_.flush_latency;
-    stats_.add("flushes");
+    counters_.flushes.add();
     return Status::ok();
 }
 
@@ -229,7 +240,7 @@ SsdModel::fetchPage(PageId id, std::vector<uint8_t> *out)
         if (attempt > 0) {
             clock_ +=
                 config_.read_latency + fault_plan_->config().retry_backoff;
-            stats_.add("read_retries");
+            counters_.read_retries.add();
         }
         fault::ReadFault f = fault_plan_->drawRead(id, kPageSize);
         if (f.failed()) {
@@ -259,9 +270,9 @@ SsdModel::readBatch(std::span<const PageId> ids, Link link,
     }
     SimTime busy = timeBatchRead(ids.size(), link);
     clock_ += busy;
-    stats_.add("pages_read", ids.size());
-    stats_.add("bytes_read", ids.size() * kPageSize);
-    stats_.add("read_commands");
+    counters_.pages_read.add(ids.size());
+    counters_.bytes_read.add(ids.size() * kPageSize);
+    counters_.read_commands.add();
     meterTransfer(ids.size(), busy, link);
     out->insert(out->end(), batch.begin(), batch.end());
     return Status::ok();
@@ -272,9 +283,9 @@ SsdModel::chargeOverlappedRead(uint64_t pages, Link link)
 {
     SimTime busy = SimTime::transfer(pages * kPageSize, bandwidth(link));
     clock_ += busy;
-    stats_.add("pages_read", pages);
-    stats_.add("bytes_read", pages * kPageSize);
-    stats_.add("overlapped_reads");
+    counters_.pages_read.add(pages);
+    counters_.bytes_read.add(pages * kPageSize);
+    counters_.overlapped_reads.add();
     meterTransfer(pages, busy, link);
 }
 
@@ -284,9 +295,9 @@ SsdModel::readChained(PageId id, Link link, std::vector<uint8_t> *out)
     SimTime busy = config_.read_latency +
                    SimTime::transfer(kPageSize, bandwidth(link));
     clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("chained_reads");
+    counters_.pages_read.add();
+    counters_.bytes_read.add(kPageSize);
+    counters_.chained_reads.add();
     meterTransfer(1, busy, link);
     out->clear();
     return fetchPage(id, out);
@@ -297,9 +308,9 @@ SsdModel::readOverlapped(PageId id, Link link, std::vector<uint8_t> *out)
 {
     SimTime busy = SimTime::transfer(kPageSize, bandwidth(link));
     clock_ += busy;
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
-    stats_.add("overlapped_reads");
+    counters_.pages_read.add();
+    counters_.bytes_read.add(kPageSize);
+    counters_.overlapped_reads.add();
     meterTransfer(1, busy, link);
     out->clear();
     return fetchPage(id, out);
@@ -314,9 +325,9 @@ SsdModel::rereadPage(PageId id, Link link, std::vector<uint8_t> *out)
     SimTime busy = backoff + config_.read_latency +
                    SimTime::transfer(kPageSize, bandwidth(link));
     clock_ += busy;
-    stats_.add("read_retries");
-    stats_.add("pages_read");
-    stats_.add("bytes_read", kPageSize);
+    counters_.read_retries.add();
+    counters_.pages_read.add();
+    counters_.bytes_read.add(kPageSize);
     meterTransfer(1, busy, link);
     out->clear();
     return fetchPage(id, out);

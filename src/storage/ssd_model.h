@@ -21,11 +21,11 @@
 #define MITHRIL_STORAGE_SSD_MODEL_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/simtime.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
@@ -77,11 +77,23 @@ comparisonSsdConfig()
  * device clock. Pure timing queries (time*) are also exposed so the
  * end-to-end performance model can reason about alternatives without
  * issuing traffic.
+ *
+ * Every command is counted in a metrics registry as `ssd.*`: pages and
+ * bytes read and written, commands by kind, retries, flushes, per-link
+ * busy time (`ssd.internal_link_busy_ps` / `ssd.external_link_busy_ps`)
+ * and a queue-depth histogram (`ssd.batch_pages`, the independent
+ * commands in flight per batch, capped by parallel_commands). The
+ * index layers on this device report into the same registry.
  */
 class SsdModel
 {
   public:
-    explicit SsdModel(SsdConfig config = SsdConfig{});
+    /** @param metrics registry to report into (not owned; must outlive
+     *  the model); when null the model owns a private one. */
+    explicit SsdModel(SsdConfig config = SsdConfig{},
+                      obs::MetricsRegistry *metrics = nullptr);
+    SsdModel(const SsdModel &) = delete;
+    SsdModel &operator=(const SsdModel &) = delete;
 
     PageStore &store() { return store_; }
     const PageStore &store() const { return store_; }
@@ -93,18 +105,13 @@ class SsdModel
     /** Resets the modeled clock (not the stored data or counters). */
     void resetClock() { clock_ = SimTime(); }
 
-    /** Device counters: pages_read, pages_written, bytes_*, commands. */
-    const StatSet &stats() const { return stats_; }
-    StatSet &stats() { return stats_; }
+    /** The registry this device and the layers over it report into. */
+    obs::MetricsRegistry &metrics() { return *metrics_; }
+    const obs::MetricsRegistry &metrics() const { return *metrics_; }
 
-    /**
-     * Joins the unified metric namespace: legacy counters forward as
-     * `ssd.*`, and the model additionally records per-link busy time
-     * (`ssd.internal_link_busy_ps` / `ssd.external_link_busy_ps`) and
-     * a queue-depth histogram (`ssd.batch_pages`, the independent
-     * commands in flight per batch, capped by parallel_commands).
-     */
-    void bindMetrics(obs::MetricsRegistry *metrics);
+    /** Device counters (`ssd.*`): pages_read, pages_written, bytes_*,
+     *  commands. */
+    obs::CounterView stats() const { return {*metrics_, "ssd."}; }
 
     /**
      * Attaches a fault plan (non-owning; may be null to detach).
@@ -147,6 +154,11 @@ class SsdModel
 
     /** Allocates a page (no modeled cost; allocation is bookkeeping). */
     PageId allocate() { return store_.allocate(); }
+
+    /** Counts one page program of @p bytes that a layer wrote in place
+     *  through store() (index nodes packed into an open page): the
+     *  write is metered, no modeled time is charged. */
+    void countInPlaceProgram(uint64_t bytes);
 
     /**
      * Writes @p data to @p id and accrues modeled write time.
@@ -226,15 +238,32 @@ class SsdModel
     void meterTransfer(uint64_t pages, SimTime busy, Link link);
     Status fetchPage(PageId id, std::vector<uint8_t> *out);
 
+    /** The `ssd.*` metrics, resolved once against the registry. */
+    struct Counters {
+        explicit Counters(obs::MetricsRegistry &m);
+
+        obs::Counter &pages_read;
+        obs::Counter &bytes_read;
+        obs::Counter &pages_written;
+        obs::Counter &bytes_written;
+        obs::Counter &read_commands;
+        obs::Counter &chained_reads;
+        obs::Counter &overlapped_reads;
+        obs::Counter &read_retries;
+        obs::Counter &flushes;
+        obs::Counter &internal_link_busy_ps;
+        obs::Counter &external_link_busy_ps;
+        obs::Histogram &batch_pages;
+    };
+
     SsdConfig config_;
     PageStore store_;
     SimTime clock_;
-    StatSet stats_;
     bool power_lost_ = false;
     fault::FaultPlan *fault_plan_ = nullptr;
-    obs::MetricsRegistry *metrics_ = nullptr;
-    obs::Counter *link_busy_[2] = {nullptr, nullptr};
-    obs::LogHistogram *batch_pages_ = nullptr;
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+    obs::MetricsRegistry *metrics_;
+    Counters counters_;
 };
 
 } // namespace mithril::storage

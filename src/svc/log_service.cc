@@ -54,8 +54,10 @@ LogService::LogService(LogServiceConfig config)
     counters_.queries = &metrics_->counter("svc.queries");
     counters_.shard_queries = &metrics_->counter("svc.shard_queries");
     counters_.checkpoints = &metrics_->counter("svc.checkpoints");
-    counters_.batch_lines = &metrics_->histogram("svc.batch_lines");
-    counters_.queue_depth = &metrics_->histogram("svc.queue_depth");
+    counters_.batch_lines =
+        &metrics_->quantileHistogram("svc.batch_lines");
+    counters_.queue_depth =
+        &metrics_->quantileHistogram("svc.queue_depth");
     stages_.queue_wait = obs::StageLatency(metrics_, "svc.queue_wait");
     stages_.batch_apply =
         obs::StageLatency(metrics_, "svc.batch_apply");

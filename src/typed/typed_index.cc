@@ -55,7 +55,23 @@ recordSize(size_t key_len, size_t delta_bytes)
 
 } // namespace
 
-TypedIndex::TypedIndex(storage::SsdModel *ssd) : ssd_(ssd) {}
+TypedIndex::Counters::Counters(obs::MetricsRegistry &m)
+    : postings(m.counter("typed.postings")),
+      pages_written(m.counter("typed.pages_written")),
+      bytes_written(m.counter("typed.bytes_written")),
+      records_flushed(m.counter("typed.records_flushed")),
+      lookups(m.counter("typed.lookups")),
+      page_crc_recoveries(m.counter("typed.page_crc_recoveries")),
+      pages_read(m.counter("typed.pages_read")),
+      corrupt_pages(m.counter("typed.corrupt_pages")),
+      lines_returned(m.counter("typed.lines_returned"))
+{
+}
+
+TypedIndex::TypedIndex(storage::SsdModel *ssd)
+    : ssd_(ssd), counters_(ssd->metrics())
+{
+}
 
 void
 TypedIndex::addLine(std::string_view line, uint64_t line_no)
@@ -78,7 +94,7 @@ TypedIndex::addTokens(std::span<const std::string_view> tokens,
         ++postings;
     });
     if (postings > 0) {
-        stats_.add("postings", postings);
+        counters_.postings.add(postings);
     }
 }
 
@@ -111,8 +127,8 @@ TypedIndex::flushPageBuffer(std::vector<uint8_t> *payload,
             pages.push_back(id);
         }
     }
-    stats_.add("pages_written");
-    stats_.add("bytes_written", storage::kPageSize);
+    counters_.pages_written.add();
+    counters_.bytes_written.add(storage::kPageSize);
     payload->clear();
     page_keys->clear();
 }
@@ -160,7 +176,7 @@ TypedIndex::flush()
                            key.bytes.end());
             payload.insert(payload.end(), deltas.begin(), deltas.end());
             page_keys.push_back(&key);
-            stats_.add("records_flushed");
+            counters_.records_flushed.add();
             next += count;
             if (payload.size() + recordSize(1, 10) > kMaxPayload) {
                 flushPageBuffer(&payload, &page_keys);
@@ -175,7 +191,7 @@ LookupResult
 TypedIndex::lookup(const Predicate &pred)
 {
     LookupResult result;
-    stats_.add("lookups");
+    counters_.lookups.add();
     if (!pred.active()) {
         return result;
     }
@@ -229,14 +245,14 @@ TypedIndex::lookup(const Predicate &pred)
             }
             ok = readable(bytes, &header);
             if (ok) {
-                stats_.add("page_crc_recoveries");
+                counters_.page_crc_recoveries.add();
             }
         }
         result.pages_read += 1;
         result.bytes_read += storage::kPageSize;
-        stats_.add("pages_read");
+        counters_.pages_read.add();
         if (!ok) {
-            stats_.add("corrupt_pages");
+            counters_.corrupt_pages.add();
             result.integrity_lost = true;
             continue;
         }
@@ -279,7 +295,7 @@ TypedIndex::lookup(const Predicate &pred)
             if (bad) {
                 // Truncated record despite a clean CRC: structural
                 // corruption; treat like an unreadable page.
-                stats_.add("corrupt_pages");
+                counters_.corrupt_pages.add();
                 result.integrity_lost = true;
                 break;
             }
@@ -290,7 +306,7 @@ TypedIndex::lookup(const Predicate &pred)
     result.lines.erase(
         std::unique(result.lines.begin(), result.lines.end()),
         result.lines.end());
-    stats_.add("lines_returned", result.lines.size());
+    counters_.lines_returned.add(result.lines.size());
     return result;
 }
 

@@ -35,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/ssd_model.h"
@@ -113,13 +112,11 @@ class TypedIndex
      *  @retval kCorruptData malformed blob. */
     Status deserialize(std::span<const uint8_t> in);
 
-    /** Counters: keys, postings, pages written/read, corrupt pages. */
-    const StatSet &stats() const { return stats_; }
-
-    /** Joins the unified metric namespace as `typed.*`. */
-    void bindMetrics(obs::MetricsRegistry *metrics)
+    /** Counters (`typed.*` in the device's registry): postings, pages
+     *  written/read, corrupt pages. */
+    obs::CounterView stats() const
     {
-        stats_.bind(metrics, "typed.");
+        return {ssd_->metrics(), "typed."};
     }
 
     size_t memoryFootprint() const;
@@ -148,7 +145,21 @@ class TypedIndex
     std::map<TypedKey, KeyEntry> keys_;
     TypedKey scratch_key_;  ///< extraction buffer reused across lines
     std::vector<PageSpan> page_dir_;
-    StatSet stats_;
+
+    /** The `typed.*` counters, resolved once. */
+    struct Counters {
+        explicit Counters(obs::MetricsRegistry &m);
+
+        obs::Counter &postings;
+        obs::Counter &pages_written;
+        obs::Counter &bytes_written;
+        obs::Counter &records_flushed;
+        obs::Counter &lookups;
+        obs::Counter &page_crc_recoveries;
+        obs::Counter &pages_read;
+        obs::Counter &corrupt_pages;
+        obs::Counter &lines_returned;
+    } counters_;
 };
 
 } // namespace mithril::typed

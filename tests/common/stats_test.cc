@@ -5,19 +5,6 @@
 namespace mithril {
 namespace {
 
-TEST(DistributionTest, TracksSummary)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    d.record(3.0);
-    d.record(1.0);
-    d.record(2.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 3.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-}
-
 TEST(HistogramTest, BucketsValues)
 {
     Histogram h({1.0, 2.0, 4.0});
@@ -42,25 +29,6 @@ TEST(HistogramTest, RenderContainsBars)
     std::string out = h.render(10);
     EXPECT_NE(out.find('#'), std::string::npos);
     EXPECT_NE(out.find("< 1"), std::string::npos);
-}
-
-TEST(StatSetTest, AccumulatesAndReads)
-{
-    StatSet stats;
-    EXPECT_EQ(stats.get("missing"), 0u);
-    stats.add("pages");
-    stats.add("pages", 4);
-    EXPECT_EQ(stats.get("pages"), 5u);
-    stats.clear();
-    EXPECT_EQ(stats.get("pages"), 0u);
-}
-
-TEST(StatSetTest, ToStringListsAll)
-{
-    StatSet stats;
-    stats.add("a", 1);
-    stats.add("b", 2);
-    EXPECT_EQ(stats.toString(), "a 1\nb 2\n");
 }
 
 } // namespace

@@ -82,9 +82,6 @@ metricsText(const obs::MetricsRegistry &registry)
     for (const auto &[name, h] : snap.quantile_histograms) {
         histograms[name] = {h.count, h.sum};
     }
-    for (const auto &[name, h] : snap.histograms) {
-        histograms[name] = {h.count, h.sum};
-    }
     for (const auto &[name, cs] : histograms) {
         if (cs.first != 0 && !wallDerived(name)) {
             text += strprintf("histogram %s %llu %llu\n", name.c_str(),

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.h"
 #include "obs/json.h"
 #include "obs/report.h"
 
@@ -47,51 +46,18 @@ TEST(MetricsRegistry, Gauge)
     EXPECT_DOUBLE_EQ(snap.gauges.at("lzah.ratio"), 3.0);
 }
 
-TEST(LogHistogram, BucketEdges)
-{
-    // Bucket 0 holds zeros; bucket i holds [2^(i-1), 2^i).
-    EXPECT_EQ(LogHistogram::bucketFor(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketFor(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketFor(2), 2u);
-    EXPECT_EQ(LogHistogram::bucketFor(3), 2u);
-    EXPECT_EQ(LogHistogram::bucketFor(4), 3u);
-    EXPECT_EQ(LogHistogram::bucketFor(7), 3u);
-    EXPECT_EQ(LogHistogram::bucketFor(8), 4u);
-    EXPECT_EQ(LogHistogram::bucketFor(~0ull), 64u);
-
-    EXPECT_EQ(LogHistogram::bucketLo(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketLo(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketLo(4), 8u);
-
-    LogHistogram h;
-    h.record(0);
-    h.record(1);
-    h.record(7);
-    h.record(8);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.sum(), 16u);
-    EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-}
-
-TEST(MetricsRegistry, StatSetBridge)
+TEST(MetricsRegistry, CounterViewReadsPrefixedCounters)
 {
     MetricsRegistry m;
-    StatSet stats;
-    stats.add("pages_read", 3);  // pre-bind accumulation
-    stats.bind(&m, "ssd.");
-    // bind() replays what was already counted...
-    EXPECT_EQ(m.counterValue("ssd.pages_read"), 3u);
-    // ...and forwards everything after.
-    stats.add("pages_read", 2);
-    stats.add("batches");
-    EXPECT_EQ(m.counterValue("ssd.pages_read"), 5u);
-    EXPECT_EQ(m.counterValue("ssd.batches"), 1u);
-    // The StatSet's own view stays intact (deprecated shim contract).
-    EXPECT_EQ(stats.get("pages_read"), 5u);
+    CounterView ssd(m, "ssd.");
+    EXPECT_EQ(ssd.get("pages_read"), 0u);
+    m.counter("ssd.pages_read").add(3);
+    m.counter("index.pages_read").add(7);
+    // Reads go to the registry: no copy to fall behind.
+    EXPECT_EQ(ssd.get("pages_read"), 3u);
+    m.counter("ssd.pages_read").add(2);
+    EXPECT_EQ(ssd.get("pages_read"), 5u);
+    EXPECT_EQ(CounterView(m, "index.").get("pages_read"), 7u);
 }
 
 TEST(MetricsRegistry, SnapshotJsonIsValid)
@@ -100,7 +66,7 @@ TEST(MetricsRegistry, SnapshotJsonIsValid)
     m.counter("a.count").add(1);
     m.counter("b.count", {{"k", "v"}}).add(2);
     m.gauge("c.ratio").set(0.5);
-    m.histogram("d.sizes").record(100);
+    m.quantileHistogram("d.sizes").record(100);
     std::string json = metricsToJson(m);
     std::string err;
     EXPECT_TRUE(jsonValid(json, &err)) << err << "\n" << json;

@@ -172,6 +172,13 @@ TEST(HistogramConcurrency, SvcWorkersRecordStageLatencies)
     EXPECT_GT(snap.quantile_histograms.at("svc.query_fanout.sim_ps")
                   .count,
               0u);
+    // The batch-size and queue-depth distributions share the one
+    // histogram type and snapshot section with the latencies.
+    for (const char *dist : {"svc.batch_lines", "svc.queue_depth"}) {
+        auto it = snap.quantile_histograms.find(dist);
+        ASSERT_NE(it, snap.quantile_histograms.end()) << dist;
+        EXPECT_GT(it->second.count, 0u) << dist;
+    }
 }
 
 } // namespace
