@@ -420,12 +420,12 @@ MithriLog::plan(std::span<const query::Query> queries,
     if (plan.typed) {
         counters_.typed_queries->add(queries.size());
     }
-    if (!in.prune) {
-        return plan;
-    }
     QueryBreakdown &b = out->breakdown;
     for (const query::Query &q : queries) {
         b.typed_predicates += q.typedPredicateCount();
+    }
+    if (!in.prune) {
+        return plan;
     }
 
     // Typed batches are nominated by the typed posting lists (with the
@@ -834,6 +834,7 @@ MithriLog::evaluateOnHost(std::span<const compress::ByteView> views,
         MITHRIL_ASSERT(it != first_line.end());
         uint64_t line_no = it->second;
         uint32_t in_page = 0;
+        bool page_matched = false;
         forEachLine(asChars(text), [&](std::string_view line) {
             bool any = false;
             uint64_t mask = 0;
@@ -848,6 +849,7 @@ MithriLog::evaluateOnHost(std::span<const compress::ByteView> views,
             }
             if (any) {
                 ++out->matched_lines;
+                page_matched = true;
                 if (keep) {
                     hits.emplace_back(
                         line_no,
@@ -861,6 +863,11 @@ MithriLog::evaluateOnHost(std::span<const compress::ByteView> views,
             ++line_no;
             ++in_page;
         });
+        // Counted as the accelerator counts it, so the false-positive
+        // account holds on the host paths too.
+        if (page_matched) {
+            ++out->breakdown.pages_with_matches;
+        }
     }
     // Candidate sets arrive in page-id order, which segment cleaning
     // can decouple from ingest order: sort by global line number so

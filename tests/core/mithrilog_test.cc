@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <vector>
+
+#include "common/bits.h"
 #include "common/hash.h"
 #include "common/text.h"
+#include "compress/lzah.h"
 #include "loggen/log_generator.h"
 #include "query/matcher.h"
 #include "query/parser.h"
@@ -416,6 +422,78 @@ TEST(MithriLogTest, ExternalRegistryIsShared)
     EXPECT_EQ(&system.metrics(), &registry);
     EXPECT_EQ(&system.tracer(), &tracer);
     EXPECT_EQ(registry.counterValue("core.lines_ingested"), 1u);
+}
+
+/** Pages among @p pages holding a line @p q matches, by the host
+ *  matcher over each page's decoded text; undecodable pages hold none. */
+uint64_t
+pagesWithMatches(MithriLog &system, const query::Query &q,
+                 std::span<const storage::PageId> pages)
+{
+    query::SoftwareMatcher matcher(q);
+    uint64_t hit = 0;
+    for (storage::PageId id : pages) {
+        std::span<const uint8_t> bytes;
+        EXPECT_TRUE(system.ssd().store().read(id, &bytes).isOk());
+        compress::Bytes text;
+        if (!compress::lzahDecodePage(bytes, /*padded=*/false, &text)
+                 .isOk()) {
+            continue;
+        }
+        bool any = false;
+        forEachLine(asChars(text), [&](std::string_view line) {
+            any = any || matcher.matches(line);
+        });
+        hit += any;
+    }
+    return hit;
+}
+
+TEST(MithriLogTest, HostPathsCountPagesWithMatches)
+{
+    MithriLog system;
+    ASSERT_TRUE(system
+                    .ingestText(loggen::LogGenerator(
+                                    loggen::datasetByName("BGL2"))
+                                    .generate(1 << 20))
+                    .isOk());
+    ASSERT_TRUE(system.flush().isOk());
+    std::vector<storage::PageId> all = system.dataPages();
+
+    // Compile fallback: nine union sets, every data page on the host.
+    query::Query wide = mustParse("0xf0c7b709 | refused | lustre | ciod "
+                                  "| parity | timeout | TLB | cache | "
+                                  "interrupt");
+    QueryResult r;
+    ASSERT_TRUE(system.run(wide, &r).isOk());
+    ASSERT_TRUE(r.used_fallback);
+    uint64_t expected = pagesWithMatches(system, wide, all);
+    EXPECT_GT(expected, 0u);
+    EXPECT_LT(expected, all.size());
+    EXPECT_EQ(r.breakdown.pages_with_matches, expected);
+
+    // Filter fault: the candidates re-cross to the host after a page
+    // the CRC passes chokes the decoder; only pages without a matching
+    // line are false positives.
+    query::Query kernel = mustParse("KERNEL");
+    std::vector<storage::PageId> candidates = system.index().lookup("KERNEL");
+    ASSERT_GT(candidates.size(), 1u);
+    std::span<uint8_t> damaged =
+        system.ssd().store().mutablePage(candidates[1]);
+    uint32_t items = 0;
+    std::memcpy(&items, damaged.data(), 4);
+    items += 4096;
+    uint32_t decompressed = items * 16;
+    std::memcpy(damaged.data(), &items, 4);
+    std::memcpy(damaged.data() + 4, &decompressed, 4);
+    ASSERT_TRUE(system.run(kernel, &r).isOk());
+    ASSERT_TRUE(r.degraded_software_scan);
+    ASSERT_EQ(r.pages_scanned, candidates.size());
+    expected = pagesWithMatches(system, kernel, candidates);
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(r.breakdown.pages_with_matches, expected);
+    EXPECT_EQ(r.breakdown.false_positive_pages,
+              candidates.size() - expected);
 }
 
 } // namespace

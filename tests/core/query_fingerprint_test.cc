@@ -230,11 +230,11 @@ TEST(QueryFingerprintTest, TypedFullScan)
               "{\"index_ps\":0,\"storage_ps\":147566451,\"compute_ps\":0,"
               "\"total_ps\":247566451,\"candidate_pages\":0,"
               "\"pages_scanned\":36,\"pages_total\":36,"
-              "\"pages_with_matches\":0,\"false_positive_pages\":0,"
+              "\"pages_with_matches\":11,\"false_positive_pages\":0,"
               "\"matched_lines\":50,\"used_fallback\":false,"
               "\"planned_full_scan\":false,\"degraded_index_scan\":false,"
               "\"degraded_software_scan\":false,\"pages_dropped\":0,"
-              "\"read_retries\":0,\"typed_predicates\":0,"
+              "\"read_retries\":0,\"typed_predicates\":2,"
               "\"typed_index_pages\":0,\"typed_index_bytes\":0,"
               "\"degraded_typed_scan\":false} per_query=50,10 "
               "lines=50:0x0b0439894bc21f67 numbers=50:0xdcb4a60744843792");
@@ -276,7 +276,7 @@ TEST(QueryFingerprintTest, TypedPruned)
               "{\"index_ps\":205285160,\"storage_ps\":114534193,"
               "\"compute_ps\":0,\"total_ps\":419819353,"
               "\"candidate_pages\":11,\"pages_scanned\":11,"
-              "\"pages_total\":36,\"pages_with_matches\":0,"
+              "\"pages_total\":36,\"pages_with_matches\":11,"
               "\"false_positive_pages\":0,\"matched_lines\":60,"
               "\"used_fallback\":false,\"planned_full_scan\":false,"
               "\"degraded_index_scan\":false,"
@@ -320,7 +320,7 @@ TEST(QueryFingerprintTest, TypedIndexOff)
               "{\"index_ps\":0,\"storage_ps\":147566451,\"compute_ps\":0,"
               "\"total_ps\":247566451,\"candidate_pages\":0,"
               "\"pages_scanned\":36,\"pages_total\":36,"
-              "\"pages_with_matches\":0,\"false_positive_pages\":0,"
+              "\"pages_with_matches\":11,\"false_positive_pages\":0,"
               "\"matched_lines\":20,\"used_fallback\":false,"
               "\"planned_full_scan\":false,\"degraded_index_scan\":false,"
               "\"degraded_software_scan\":false,\"pages_dropped\":0,"
@@ -344,7 +344,7 @@ TEST(QueryFingerprintTest, CompileFallback)
               "{\"index_ps\":0,\"storage_ps\":277052903,\"compute_ps\":0,"
               "\"total_ps\":277052903,\"candidate_pages\":0,"
               "\"pages_scanned\":134,\"pages_total\":134,"
-              "\"pages_with_matches\":0,\"false_positive_pages\":0,"
+              "\"pages_with_matches\":134,\"false_positive_pages\":0,"
               "\"matched_lines\":3158,\"used_fallback\":true,"
               "\"planned_full_scan\":true,\"degraded_index_scan\":false,"
               "\"degraded_software_scan\":false,\"pages_dropped\":0,"
@@ -387,7 +387,7 @@ TEST(QueryFingerprintTest, DegradedTypedScan)
               "{\"index_ps\":1321290,\"storage_ps\":147566451,"
               "\"compute_ps\":0,\"total_ps\":248887741,"
               "\"candidate_pages\":0,\"pages_scanned\":36,"
-              "\"pages_total\":36,\"pages_with_matches\":0,"
+              "\"pages_total\":36,\"pages_with_matches\":11,"
               "\"false_positive_pages\":0,\"matched_lines\":60,"
               "\"used_fallback\":false,\"planned_full_scan\":false,"
               "\"degraded_index_scan\":false,"
@@ -412,8 +412,8 @@ TEST(QueryFingerprintTest, DegradedSoftwareScan)
               "{\"index_ps\":210570320,\"storage_ps\":358747526,"
               "\"compute_ps\":0,\"total_ps\":669317846,"
               "\"candidate_pages\":73,\"pages_scanned\":73,"
-              "\"pages_total\":134,\"pages_with_matches\":0,"
-              "\"false_positive_pages\":73,\"matched_lines\":501,"
+              "\"pages_total\":134,\"pages_with_matches\":72,"
+              "\"false_positive_pages\":1,\"matched_lines\":501,"
               "\"used_fallback\":false,\"planned_full_scan\":false,"
               "\"degraded_index_scan\":false,"
               "\"degraded_software_scan\":true,\"pages_dropped\":1,"
