@@ -1,4 +1,4 @@
-// Known-bad fixture: direct use of the deprecated StatSet shim.
+// Known-bad fixture: a reintroduced StatSet (the shim was removed).
 #include "common/stats.h"
 
 namespace mithril {

@@ -7,10 +7,13 @@
 #   1. werror build      full tree, -Wall -Wextra -Werror
 #   2. unit + bench tests ctest over the werror build
 #  2b. fingerprints + -j the `fingerprint` label (the device-image
-#      digests a fixed ingest and its recovery must reproduce, and
-#      what every query path returns over fixed stores), then
-#      the TypedE2e tests five times over at ctest -j4, the parallel
-#      schedule that once made them delete each other's images
+#      digests a fixed ingest and its recovery must reproduce, what
+#      every query path returns over fixed stores, and the metrics a
+#      fixed workload reports), then the TypedE2e tests five times
+#      over at ctest -j4, the parallel schedule that once made them
+#      delete each other's images, then every test outside the
+#      smoke/nightly/lint labels three times over at -j in random
+#      order, so a test that leans on a sibling's files or timing fails
 #   3. fault matrix      tools/fault_matrix.sh — end-to-end queries
 #      under corruption/timeout/mixed fault plans stay exactly correct
 #   4. crash matrix      tools/crash_matrix.sh — power-cut at every
@@ -72,10 +75,12 @@ cmake --build --preset werror -j "$JOBS"
 step "unit + bench tests"
 ctest --test-dir build-werror --output-on-failure -j "$JOBS"
 
-step "fingerprints + parallel repeat (ctest -L fingerprint; TypedE2e -j4)"
+step "fingerprints + parallel repeat (ctest -L fingerprint; TypedE2e -j4; random-order -j repeat x3)"
 ctest --test-dir build-werror -L fingerprint --output-on-failure
 ctest --test-dir build-werror -R TypedE2e -j 4 --repeat until-fail:5 \
     --output-on-failure
+ctest --test-dir build-werror -LE 'smoke|nightly|lint' -j "$JOBS" \
+    --schedule-random --repeat until-fail:3 --output-on-failure
 
 step "fault matrix (tools/fault_matrix.sh)"
 tools/fault_matrix.sh build-werror/examples/mithril_cli \

@@ -11,8 +11,9 @@ repo-specific invariants no generic tool knows about:
   dropped-status     a call to an unambiguously Status-returning function
                      used as a bare statement (belt and braces on top of
                      the [[nodiscard]] + -Werror compiler layer).
-  direct-statset     StatSet is a deprecated shim; new code reports into
-                     mithril::obs::MetricsRegistry.
+  direct-statset     the StatSet shim is gone and stays gone: components
+                     report into mithril::obs::MetricsRegistry counters
+                     directly (allowed nowhere).
   banned-rand-time   rand()/srand()/time()/std::random_device break
                      bit-for-bit reproducibility; use common/rng.h.
   raw-new-delete     no naked new/delete outside arena code; use
@@ -104,18 +105,8 @@ EXCLUDE_PARTS = ("tests/lint/fixtures", "tests/tsa/fixtures")
 ALLOW = {
     # SimTime itself and the device models own cycle->time conversion.
     "cycle-to-time": ("src/common/simtime.h", "src/sim/"),
-    # The shim, its legacy holders (bound through CounterSink), the obs
-    # bridge that implements the sink, and their direct tests.
-    "direct-statset": (
-        "src/common/stats.h",
-        "src/common/stats.cc",
-        "src/storage/ssd_model.",
-        "src/index/inverted_index.",
-        "src/typed/typed_index.",
-        "src/obs/",
-        "tests/common/stats_test.cc",
-        "tests/obs/",
-    ),
+    # No holder is left: a reintroduced StatSet fires anywhere.
+    "direct-statset": (),
     "banned-rand-time": ("src/common/rng.h",),
     # The fault subsystem itself declares/implements the hooks.
     "fault-gating": ("src/fault/",),
@@ -280,7 +271,7 @@ def check_direct_statset(relpath, code):
     for i, line in enumerate(code, start=1):
         if _STATSET_RE.search(line):
             yield (i, "direct-statset",
-                   "direct use of deprecated StatSet")
+                   "StatSet reintroduced (the shim was removed)")
 
 
 _RAND_TIME_RE = re.compile(
@@ -467,7 +458,7 @@ def check_lock_order(relpath, code):
 
 _ATOMICS_AUDITED = (
     "src/obs/histogram.",     # HDR histogram cells (wait-free record)
-    "src/obs/metrics.h",      # Counter/Gauge/LogHistogram handles
+    "src/obs/metrics.h",      # Counter/Gauge handles
     "src/svc/log_service.cc", # routing rotation + readonly count
     "audited_relaxed",        # selftest fixture for this branch
 )
