@@ -116,7 +116,7 @@ chromeTraceWithQuantiles(const Tracer &tracer,
     w.key("args");
     w.beginObject();
     w.key("name");
-    w.value("latency quantiles");
+    w.value("histogram quantiles");
     w.endObject();
     w.endObject();
     for (const auto &[name, h] : snap.quantile_histograms) {

@@ -44,11 +44,12 @@ Status writeMetricsJson(const MetricsRegistry &registry,
                         const std::string &path);
 
 /**
- * Chrome-trace export carrying the registry's latency quantiles along
- * with the span buffer: the tracer's own JSON plus one counter-track
- * event (`"ph":"C"`, pid 3 "latency quantiles") per quantile
- * histogram, so a trace opened in Perfetto shows the tail next to the
- * spans that produced it.
+ * Chrome-trace export carrying the registry's histogram quantiles
+ * along with the span buffer: the tracer's own JSON plus one
+ * counter-track event (`"ph":"C"`, pid 3 "histogram quantiles") per
+ * histogram, so a trace opened in Perfetto shows the latency tail and
+ * the batch-size and queue-depth spread next to the spans that
+ * produced them.
  */
 std::string chromeTraceWithQuantiles(const Tracer &tracer,
                                      const MetricsRegistry &registry);

@@ -92,8 +92,6 @@ class SsdModel
      *  the model); when null the model owns a private one. */
     explicit SsdModel(SsdConfig config = SsdConfig{},
                       obs::MetricsRegistry *metrics = nullptr);
-    SsdModel(const SsdModel &) = delete;
-    SsdModel &operator=(const SsdModel &) = delete;
 
     PageStore &store() { return store_; }
     const PageStore &store() const { return store_; }
