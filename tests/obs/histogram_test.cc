@@ -1,9 +1,10 @@
 /**
  * @file
  * obs::Histogram: quantiles against an exact sorted oracle across
- * adversarial distributions, merge algebra (associative and
- * commutative), empty/single-sample edges, and the bucket-mapping
- * boundary behavior the error bound rests on.
+ * adversarial distributions, the exact count/min/max/mean summary,
+ * merge algebra (associative and commutative), empty/single-sample
+ * edges, and the bucket-mapping boundary behavior the error bound
+ * rests on.
  */
 #include <algorithm>
 #include <cmath>
@@ -134,6 +135,21 @@ TEST(Histogram, EmptyHistogramReportsZeros)
     Quantiles q = h.quantiles();
     EXPECT_EQ(q.p50, 0u);
     EXPECT_EQ(q.p999, 0u);
+}
+
+/** The running summary of a sample stream (count/min/max/mean) is
+ *  kept exactly, independent of the bucket resolution. */
+TEST(DistributionTest, TracksSummary)
+{
+    Histogram d;
+    EXPECT_EQ(d.count(), 0u);
+    d.record(3);
+    d.record(1);
+    d.record(2);
+    EXPECT_EQ(d.count(), 3u);
+    EXPECT_EQ(d.min(), 1u);
+    EXPECT_EQ(d.max(), 3u);
+    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }
 
 TEST(Histogram, SingleSampleDominatesEveryQuantile)
